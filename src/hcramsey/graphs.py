@@ -19,6 +19,7 @@ CONNECTED = "connected"
 SEPARATED = "separated"
 
 ORACLE_SIZE_LIMIT = 12
+TABLE_VERTEX_LIMIT = 7
 
 
 class InputFormatError(ValueError):
@@ -159,18 +160,8 @@ class InducedSubgraph(NamedTuple):
 
 def is_connected(g: Graph) -> bool:
     """True iff g has at most one connected component (n <= 1 is connected)."""
-    if g.n <= 1:
-        return True
-    adj = g.adjacency()
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    full = (1 << g.n) - 1
+    return _mask_component(_adj_masks(g), full) == full
 
 
 def _max_disjoint_paths(g: Graph, s: int, t: int):
@@ -332,12 +323,10 @@ def _adj_masks(g: Graph) -> list[int]:
     return adj
 
 
-def _mask_connected(adj: list[int], remaining: int) -> bool:
-    if remaining == 0:
-        return True
-    start = remaining & -remaining
-    seen = start
-    frontier = start
+def _mask_component(adj: list[int], remaining: int) -> int:
+    """Vertex mask of the component of the lowest vertex of `remaining` in
+    the graph induced on `remaining`; 0 when `remaining` is empty."""
+    seen = frontier = remaining & -remaining
     while frontier:
         nxt = 0
         f = frontier
@@ -348,7 +337,28 @@ def _mask_connected(adj: list[int], remaining: int) -> bool:
         nxt &= remaining & ~seen
         seen |= nxt
         frontier = nxt
-    return seen == remaining
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _deletion_sets(n: int) -> tuple:
+    """(size, remaining vertex mask) for every deletion set on n vertices,
+    by increasing size."""
+    full = (1 << n) - 1
+    return tuple(
+        (size, full & ~sum(1 << v for v in subset))
+        for size in range(n + 1)
+        for subset in itertools.combinations(range(n), size)
+    )
+
+
+def _deletion_kappa(adj: list[int], n: int) -> int:
+    """Least number of deleted vertices that disconnects the graph, or n
+    if no deletion set does (deletion semantics)."""
+    for size, remaining in _deletion_sets(n):
+        if _mask_component(adj, remaining) != remaining:
+            return size
+    return n
 
 
 def brute_force_kappa(g: Graph) -> int:
@@ -357,39 +367,38 @@ def brute_force_kappa(g: Graph) -> int:
     Returns n for complete graphs (deletion semantics)."""
     if g.n > ORACLE_SIZE_LIMIT:
         raise ValueError("oracle size limit")
-    adj = _adj_masks(g)
-    full = (1 << g.n) - 1
-    for size in range(g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if not _mask_connected(adj, full & ~removed):
-                return size
-    return g.n
+    return _deletion_kappa(_adj_masks(g), g.n)
+
+
+@lru_cache(maxsize=None)
+def connectivity_table(m: int) -> bytes:
+    """table[mask] = brute_force_kappa of the graph on m vertices whose
+    edge set is `mask` (bit i is the i-th pair in lexicographic order).
+    A graph is kappa-connected iff its entry is >= min(kappa, m)."""
+    if m > TABLE_VERTEX_LIMIT:
+        raise ValueError("enumeration size limit")
+    pairs = all_pairs(m)
+    table = bytearray(1 << len(pairs))
+    for mask in range(len(table)):
+        adj = [0] * m
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u, v = pairs[bit.bit_length() - 1]
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        table[mask] = _deletion_kappa(adj, m)
+    return bytes(table)
 
 
 def is_forest(g: Graph) -> bool:
     """True iff g is acyclic: |E| = n - #components."""
     adj = _adj_masks(g)
-    full = (1 << g.n) - 1
     components = 0
-    left = full
+    left = (1 << g.n) - 1
     while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                nxt |= adj[bit.bit_length() - 1]
-            nxt &= full & ~seen
-            seen |= nxt
-            frontier = nxt
-        left &= ~seen
+        left &= ~_mask_component(adj, left)
         components += 1
     return len(g.edges) == g.n - components
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from . import __version__ as _version
 from .graphs import EdgeColoring, InputFormatError, all_pairs, pair_index
@@ -45,49 +46,36 @@ class CnfInstance:
 def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     """One-hot edge-color variables; per edge an at-least-one clause plus
     pairwise at-most-one clauses; per size-m subset, color, and labeled
-    placement of each edge-minimal kappa-connected graph, a clause
-    forbidding the monochromatic embedding.  Duplicate clauses are removed
-    and the final order is sorted, so identical parameters give
-    byte-identical DIMACS output."""
+    edge-minimal kappa-connected graph on it, a clause forbidding the
+    monochromatic copy.  Duplicate clauses are removed and the final order
+    is sorted, so identical parameters give byte-identical DIMACS output."""
+    # The guard keeps the m! factor of its original placement count, so the
+    # refused instances stay the same: (9, 6, 1, 2) and (8, 6, 3, 2) are
+    # refused only because of it.  The factors without the forbidden list
+    # are checked first, so a hopeless instance never builds its table.
+    estimate = math.comb(n, m) * k * math.factorial(m)
+    if estimate > CLAUSE_LIMIT:
+        raise ValueError(f"size limit: more than {estimate} candidate clauses")
     fl = minimal_connected_graphs(m, kappa)
-    pairs = all_pairs(n)
-    nedges = len(pairs)
-    num_vars = nedges * k
-
-    estimate = (
-        len(list(itertools.combinations(range(n), m)))
-        * k
-        * len(fl.graphs)
-        * max(1, _factorial(m))
-    )
+    estimate *= len(fl.masks)
     if estimate > CLAUSE_LIMIT:
         raise ValueError(f"size limit: about {estimate} candidate clauses")
 
-    inst = CnfInstance(n, m, kappa, k, num_vars, (), forbidden_list_hash(fl))
+    nedges = n * (n - 1) // 2
+    inst = CnfInstance(n, m, kappa, k, nedges * k, (), forbidden_list_hash(fl))
     clauses = set()
     for e in range(nedges):
         clauses.add(tuple(inst.var(e, i) for i in range(k)))
         for i, j in itertools.combinations(range(k), 2):
             clauses.add(tuple(sorted((-inst.var(e, i), -inst.var(e, j)))))
+    local_pairs = all_pairs(m)
     for subset in itertools.combinations(range(n), m):
-        for fg in fl.graphs:
-            for placement in itertools.permutations(subset):
-                edge_idxs = {
-                    pair_index(n, *sorted((placement[a], placement[b])))
-                    for a, b in fg.edges
-                }
-                for i in range(k):
-                    clauses.add(tuple(sorted(-inst.var(e, i) for e in edge_idxs)))
-    return CnfInstance(
-        n, m, kappa, k, num_vars, tuple(sorted(clauses)), forbidden_list_hash(fl)
-    )
-
-
-def _factorial(m):
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
+        idxs = [pair_index(n, subset[a], subset[b]) for a, b in local_pairs]
+        for fm in fl.masks:
+            edges = [e for bit, e in enumerate(idxs) if fm >> bit & 1]
+            for i in range(k):
+                clauses.add(tuple(sorted(-inst.var(e, i) for e in edges)))
+    return replace(inst, clauses=tuple(sorted(clauses)))
 
 
 def to_dimacs(inst: CnfInstance) -> str:

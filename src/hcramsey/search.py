@@ -14,6 +14,7 @@ from .graphs import (
     EdgeColoring,
     Graph,
     all_pairs,
+    connectivity_table,
     induced_color_graph,
     is_kappa_connected,
     pair_index,
@@ -101,80 +102,23 @@ class SearchOutcome:
 # Forbidden-list enumeration
 
 
-def _mask_kappa_connected_table(m: int, kappa: int) -> list[bool]:
-    """table[mask] = deletion-semantics kappa-connectivity of the graph on
-    m vertices whose edge set is `mask` (lexicographic pair order)."""
-    pairs = all_pairs(m)
-    nedges = len(pairs)
-    full_vertices = (1 << m) - 1
-    deletions = []
-    for size in range(min(kappa, m + 1)):
-        for subset in itertools.combinations(range(m), size):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            deletions.append(full_vertices & ~removed)
-
-    def connected(adj, remaining):
-        if remaining == 0:
-            return True
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                nxt |= adj[bit.bit_length() - 1]
-            nxt &= remaining & ~seen
-            seen |= nxt
-            frontier = nxt
-        return seen == remaining
-
-    table = []
-    complete_mask = (1 << nedges) - 1
-    for mask in range(1 << nedges):
-        if mask == complete_mask:
-            table.append(True)
-            continue
-        adj = [0] * m
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u, v = pairs[bit.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        ok = True
-        for remaining in deletions:
-            masked = [adj[v] & remaining for v in range(m)]
-            if not connected(masked, remaining):
-                ok = False
-                break
-        table.append(ok)
-    return table
-
-
 @lru_cache(maxsize=None)
 def minimal_connected_graphs(m: int, kappa: int) -> ForbiddenList:
     """Edge-minimal kappa-connected graphs on m labeled vertices, from
-    enumeration of all 2^C(m,2) labeled graphs."""
-    if m > 7:
-        raise ValueError("enumeration size limit")
+    the connectivity table of all 2^C(m,2) labeled graphs."""
     pairs = all_pairs(m)
-    table = _mask_kappa_connected_table(m, kappa)
+    table = connectivity_table(m)
+    threshold = min(kappa, m)
     masks = []
-    for mask in range(1 << len(pairs)):
-        if not table[mask]:
+    for mask, value in enumerate(table):
+        if value < threshold:
             continue
         minimal = True
         rest = mask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if table[mask ^ bit]:
+            if table[mask ^ bit] >= threshold:
                 minimal = False
                 break
         if minimal:
@@ -239,22 +183,22 @@ def _colex_order(n: int):
     return sorted(all_pairs(n), key=lambda p: (p[1], p[0]))
 
 
-def _completion_checks(n: int, m: int, fl: ForbiddenList):
-    """For each colex position, the list of forbidden-subgraph edge-index
-    tuples (lexicographic pair indices) that become fully colored there."""
+def _completion_checks(n: int, m: int):
+    """For each colex position, the m-subsets that become fully colored
+    there, each as its C(m,2) edge indices in lexicographic pair order (so
+    the i-th index is bit i of a connectivity-table mask)."""
     order = _colex_order(n)
+    local_pairs = all_pairs(m)
     checks = []
     for u, v in order:
-        tuples = []
+        subsets = []
         if m <= u + 2:
             for rest in itertools.combinations(range(u), m - 2):
-                subset = tuple(sorted(rest + (u, v)))
-                for fg in fl.graphs:
-                    idxs = tuple(
-                        pair_index(n, subset[a], subset[b]) for a, b in sorted(fg.edges)
-                    )
-                    tuples.append(idxs)
-        checks.append(tuples)
+                subset = rest + (u, v)
+                subsets.append(
+                    tuple(pair_index(n, subset[a], subset[b]) for a, b in local_pairs)
+                )
+        checks.append(subsets)
     return order, checks
 
 
@@ -262,19 +206,27 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=()):
     """Core search; `prefix` pins the colors of the first edges in colex
     order (used to split work across processes).  Returns (kind, colors,
     stats)."""
-    fl = minimal_connected_graphs(m, kappa)
-    order, checks = _completion_checks(n, m, fl)
+    table = connectivity_table(m)
+    threshold = min(kappa, m)
+    order, checks = _completion_checks(n, m)
     nedges = len(order)
     lex_of = [pair_index(n, u, v) for u, v in order]
     colors = [-1] * (n * (n - 1) // 2)
     stats = SearchStats()
 
     def consistent(pos):
+        # Every color, not only the new edge's: a subset completed here can
+        # be kappa-connected in a color the new edge does not carry.
         for idxs in checks[pos]:
-            first = colors[idxs[0]]
-            if all(colors[i] == first for i in idxs[1:]):
-                stats.forbidden_prunes += 1
-                return False
+            masks = [0] * k
+            bit = 1
+            for i in idxs:
+                masks[colors[i]] |= bit
+                bit <<= 1
+            for mask in masks:
+                if table[mask] >= threshold:
+                    stats.forbidden_prunes += 1
+                    return False
         return True
 
     def rec(pos, used):

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from hcramsey.graphs import EdgeColoring, InputFormatError
+from hcramsey.graphs import EdgeColoring, InputFormatError, connectivity_table
 from hcramsey.satbridge import (
     assignment_satisfies,
     cnf_satisfiable_by_enumeration,
@@ -41,6 +42,26 @@ class TestEmitCnf:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="size limit"):
             emit_cnf(12, 7, 2, 4)
+
+    def test_size_limit_refuses_before_building_a_table(self):
+        before = connectivity_table.cache_info()
+        with pytest.raises(ValueError, match="size limit"):
+            emit_cnf(12, 7, 2, 4)
+        after = connectivity_table.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("params", [(9, 6, 1, 2), (8, 6, 3, 2)])
+    def test_size_limit_counts_the_forbidden_list(self, params):
+        with pytest.raises(ValueError, match="size limit: about"):
+            emit_cnf(*params)
+
+    @pytest.mark.parametrize(
+        "params, digest",
+        [((8, 5, 2, 2), "a2d7f7632856"), ((10, 4, 2, 3), "cac8edea13b0")],
+    )
+    def test_dimacs_digest_is_stable(self, params, digest):
+        text = to_dimacs(emit_cnf(*params))
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
 
 
 class TestDecodeModel:

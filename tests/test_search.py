@@ -67,7 +67,7 @@ class TestMinimalConnectedGraphs:
         pairs = all_pairs(6)
         rng = random.Random(606)
         masks = [rng.randrange(1 << len(pairs)) for _ in range(300)]
-        for kappa in (1, 2, 3):
+        for kappa in range(1, 7):
             fl = minimal_connected_graphs(6, kappa)
             for mask in masks:
                 g = Graph(
@@ -179,6 +179,30 @@ class TestExistsAvoidingColoring:
         out = exists_avoiding_coloring(5, 3, 3, 2)
         back = SearchOutcome.from_json_dict(out.to_json_dict())
         assert back.kind == out.kind and back.coloring == out.coloring
+
+
+# (n, m, kappa, k) -> (kind, nodes, forbidden_prunes).  Any way of checking
+# the m-sets completed at a position must reproduce these exactly; checking
+# only the newly assigned edge's color changes every row but (6, 3, 3, 2).
+PINNED_SEARCH_COUNTS = {
+    (6, 3, 3, 2): (EXHAUSTED, 325, 163),
+    (6, 3, 1, 2): (EXHAUSTED, 7, 4),
+    (7, 4, 2, 2): (EXHAUSTED, 1675, 838),
+    (7, 5, 1, 2): (EXHAUSTED, 1023, 512),
+    (8, 5, 1, 3): (AVOIDING, 1102, 723),
+    (7, 6, 2, 2): (AVOIDING, 92, 40),
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS))
+def test_pinned_search_counts(params):
+    out = exists_avoiding_coloring(*params)
+    assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
+        PINNED_SEARCH_COUNTS[params]
+    )
+    if out.kind == AVOIDING:
+        n, m, kappa, k = params
+        assert arrow_check(out.coloring, kappa, m) is None
 
 
 class TestRamseyNumber:
