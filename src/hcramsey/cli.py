@@ -36,11 +36,19 @@ from .graphs import (
 from .satbridge import (
     decode_model,
     emit_cnf,
-    parse_dimacs_provenance,
+    forbidden_list_hash,
+    parse_dimacs,
     parse_model_text,
     to_dimacs,
+    violated_clause,
 )
-from .search import UNKNOWN, arrow_check, exists_avoiding_coloring, ramsey_number
+from .search import (
+    UNKNOWN,
+    arrow_check,
+    exists_avoiding_coloring,
+    minimal_connected_graphs,
+    ramsey_number,
+)
 
 DEFAULT_SEED = 20181215
 EXIT_OK = 0
@@ -206,29 +214,38 @@ def cmd_cnf(args):
 
 
 def cmd_verify_model(args):
-    text = _read(args.cnf_file)
-    params = parse_dimacs_provenance(text)
-    inst = emit_cnf(params["n"], params["m"], params["kappa"], params["k"])
+    inst = parse_dimacs(_read(args.cnf_file))
+    params = {"n": inst.n, "m": inst.m, "kappa": inst.kappa, "k": inst.k}
+    expected = forbidden_list_hash(minimal_connected_graphs(inst.m, inst.kappa))
+    if inst.forbidden_hash != expected:
+        print(f"instance forbidden-list hash {inst.forbidden_hash} is not {expected}")
+        outcome = {"params": params, "valid": False,
+                   "forbidden_hash": inst.forbidden_hash, "expected_hash": expected}
+        return outcome, EXIT_FAILED
     literals = parse_model_text(_read(args.model_file))
     try:
         coloring = decode_model(inst, literals)
     except ValueError as exc:
         print(f"invalid model: {exc}")
         return {"params": params, "valid": False, "error": str(exc)}, EXIT_FAILED
-    witness = arrow_check(coloring, params["kappa"], params["m"], "exact")
-    if witness is None:
-        print("model decodes to an avoiding coloring")
-        return {"params": params, "valid": True}, EXIT_OK
-    print(
-        f"model decodes, but color {witness.color} on {list(witness.vertices)} "
-        "is a monochromatic well-connected set"
-    )
-    outcome = {
-        "params": params,
-        "valid": False,
-        "witness": {"color": witness.color, "vertices": list(witness.vertices)},
-    }
-    return outcome, EXIT_FAILED
+    witness = arrow_check(coloring, inst.kappa, inst.m, "exact")
+    if witness is not None:
+        print(
+            f"model decodes, but color {witness.color} on {list(witness.vertices)} "
+            "is a monochromatic well-connected set"
+        )
+        outcome = {
+            "params": params,
+            "valid": False,
+            "witness": {"color": witness.color, "vertices": list(witness.vertices)},
+        }
+        return outcome, EXIT_FAILED
+    clause = violated_clause(inst, coloring)
+    if clause is not None:
+        print(f"model decodes to an avoiding coloring, but violates clause {list(clause)}")
+        return {"params": params, "valid": False, "violated_clause": list(clause)}, EXIT_FAILED
+    print("model decodes to an avoiding coloring")
+    return {"params": params, "valid": True}, EXIT_OK
 
 
 def cmd_delta_mine(args):

@@ -10,7 +10,6 @@ kappa-connected for every kappa.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -20,6 +19,7 @@ SEPARATED = "separated"
 
 ORACLE_SIZE_LIMIT = 12
 TABLE_VERTEX_LIMIT = 7
+CERTIFICATE_CACHE_SIZE = 2048
 
 
 class InputFormatError(ValueError):
@@ -83,13 +83,6 @@ class Graph:
 
     def degree(self, v) -> int:
         return sum(1 for e in self.edges if v in e)
-
-    def adjacency(self) -> list[set]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -167,105 +160,86 @@ def is_connected(g: Graph) -> bool:
 def _max_disjoint_paths(g: Graph, s: int, t: int):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
 
-    Unit-capacity flow on the vertex-split digraph; returns
-    (value, paths, separator) where paths are vertex tuples and the
-    separator is a minimum vertex cut disjoint from {s, t}.
+    Unit-capacity flow on the vertex-split digraph (vin(v) = 2v,
+    vout(v) = 2v+1); returns (value, paths, separator) where paths are
+    vertex tuples and the separator is a minimum vertex cut disjoint
+    from {s, t}.
     """
     n = g.n
-    big = n + 2
-
-    def vin(v):
-        return 2 * v
-
-    def vout(v):
-        return 2 * v + 1
-
-    cap: dict = {}
-    adj: dict = {}
-
-    def add_arc(a, b, c):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
+    # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
+    # vin(v) has one unit out, s and t are nonadjacent and nothing enters
+    # vout(t), so an edge arc carries 0 or 1 unit: its forward residual
+    # never closes and its reverse arc is open iff it carries flow.  An
+    # augmenting step a->b therefore flips a vertex arc (a>>1 == b>>1),
+    # opens b->a on a forward edge arc (a odd) and closes a->b on a
+    # reverse edge arc (a even).
+    res = [0] * (2 * n)
     for v in range(n):
-        if v not in (s, t):
-            add_arc(vin(v), vout(v), 1)
+        if v != s and v != t:
+            res[2 * v] = 2 << 2 * v
     for u, v in g.edges:
-        add_arc(vout(u), vin(v), big)
-        add_arc(vout(v), vin(u), big)
-
-    src, snk = vout(s), vin(t)
-    adj.setdefault(src, set())
-    adj.setdefault(snk, set())
-
-    value = 0
+        res[2 * u + 1] |= 1 << 2 * v
+        res[2 * v + 1] |= 1 << 2 * u
+    src, snk = 2 * s + 1, 2 * t
+    parent = [0] * (2 * n)
     while True:
-        parent = {src: None}
-        queue = deque([src])
-        while queue and snk not in parent:
-            a = queue.popleft()
-            for b in sorted(adj[a]):
-                if b not in parent and cap.get((a, b), 0) > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if snk not in parent:
+        # Queue order, lowest node first: certificates are deterministic.
+        seen = 1 << src
+        queue = [src]
+        for a in queue:
+            new = res[a] & ~seen
+            seen |= new
+            while new:
+                bit = new & -new
+                new ^= bit
+                b = bit.bit_length() - 1
+                parent[b] = a
+                queue.append(b)
+            if seen >> snk & 1:
+                break
+        if not seen >> snk & 1:
             break
         b = snk
-        while parent[b] is not None:
+        while b != src:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            if a >> 1 == b >> 1:
+                res[a] ^= 1 << b
+                res[b] |= 1 << a
+            elif a & 1:
+                res[b] |= 1 << a
+            else:
+                res[a] ^= 1 << b
             b = a
-        value += 1
 
-    # Minimum vertex cut from residual reachability.
-    seen = {src}
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        for b in adj[a]:
-            if b not in seen and cap.get((a, b), 0) > 0:
-                seen.add(b)
-                queue.append(b)
+    # Minimum vertex cut from the reach of the final, failing BFS.
     separator = frozenset(
-        v for v in range(n) if v not in (s, t) and vin(v) in seen and vout(v) not in seen
+        v for v in range(n)
+        if v != s and v != t and seen >> 2 * v & 1 and not seen >> 2 * v + 1 & 1
     )
 
-    # Net flow per arc; vertex capacities make its support a disjoint
-    # union of s-t paths (plus possible cycles the walk never enters).
-    flow = {}
+    # A vertex v on a flow path has its vertex arc closed and exactly one
+    # open reverse edge arc, back to its predecessor on the path.
+    nxt = [t] * n
+    starts = []
     for v in range(n):
-        if v not in (s, t):
-            f = 1 - cap[(vin(v), vout(v))]
-            if f > 0:
-                flow[(vin(v), vout(v))] = f
-    for u, v in g.edges:
-        for a, b in ((vout(u), vin(v)), (vout(v), vin(u))):
-            f = big - cap[(a, b)]
-            if f > 0:
-                flow[(a, b)] = f
-
+        back = res[2 * v] & ~(2 << 2 * v)
+        if v != s and v != t and back:
+            u = (back.bit_length() - 1) >> 1
+            if u == s:
+                starts.append(v)
+            else:
+                nxt[u] = v
     paths = []
-    for _ in range(value):
-        path = [s]
-        cur = src
-        while True:
-            nxt = min(b for (a, b) in flow if a == cur and flow[(a, b)] > 0)
-            flow[(cur, nxt)] -= 1
-            w = nxt // 2
-            path.append(w)
-            if nxt == snk:
-                break
-            flow[(nxt, vout(w))] -= 1
-            cur = vout(w)
+    for v in starts:
+        path = [s, v]
+        while v != t:
+            v = nxt[v]
+            path.append(v)
         paths.append(tuple(path))
+    return len(starts), tuple(paths), separator
 
-    return value, tuple(paths), separator
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
 def _connectivity_certificate(g: Graph):
     """(kappa, pair, paths, separator) for an incomplete graph on >= 2
     vertices; the minimizing nonadjacent pair is the lexicographically

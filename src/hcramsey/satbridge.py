@@ -88,23 +88,60 @@ def to_dimacs(inst: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs_provenance(text: str) -> dict:
-    """Recover (n, m, kappa, k) from the provenance comment line."""
+def _provenance_fields(text: str) -> dict:
     for line in text.splitlines():
         if line.startswith("c ") and "kappa=" in line:
-            fields = dict(
-                part.split("=", 1) for part in line[2:].split() if "=" in part
-            )
-            try:
-                return {
-                    "n": int(fields["n"]),
-                    "m": int(fields["m"]),
-                    "kappa": int(fields["kappa"]),
-                    "k": int(fields["k"]),
-                }
-            except (KeyError, ValueError):
-                raise InputFormatError("malformed provenance comment") from None
+            return dict(part.split("=", 1) for part in line[2:].split() if "=" in part)
     raise InputFormatError("no provenance comment found")
+
+
+def parse_dimacs_provenance(text: str) -> dict:
+    """Recover (n, m, kappa, k) from the provenance comment line."""
+    fields = _provenance_fields(text)
+    try:
+        return {key: int(fields[key]) for key in ("n", "m", "kappa", "k")}
+    except (KeyError, ValueError):
+        raise InputFormatError("malformed provenance comment") from None
+
+
+def parse_dimacs(text: str) -> CnfInstance:
+    """Inverse of to_dimacs: the instance, with its clauses in file order,
+    read back from DIMACS text."""
+    params = parse_dimacs_provenance(text)
+    forbidden = _provenance_fields(text).get("forbidden")
+    if forbidden is None:
+        raise InputFormatError("provenance comment has no forbidden= hash")
+    lines = text.splitlines()
+    header = [line.split() for line in lines if line.startswith("p ")]
+    if len(header) != 1 or len(header[0]) != 4 or header[0][1] != "cnf":
+        raise InputFormatError("expected one 'p cnf <vars> <clauses>' line")
+    try:
+        num_vars, num_clauses = int(header[0][2]), int(header[0][3])
+        literals = [
+            int(token)
+            for line in lines if line[:1] not in ("c", "p")
+            for token in line.split()
+        ]
+    except ValueError:
+        raise InputFormatError("'p cnf' counts and literals must be integers") from None
+    n, k = params["n"], params["k"]
+    if num_vars != n * (n - 1) // 2 * k:
+        raise InputFormatError(f"{num_vars} variables declared, n={n} k={k} needs "
+                               f"{n * (n - 1) // 2 * k}")
+    clauses, clause = [], []
+    for lit in literals:
+        if lit == 0:
+            clauses.append(tuple(clause))
+            clause = []
+        elif abs(lit) > num_vars:
+            raise InputFormatError(f"literal {lit} references no variable")
+        else:
+            clause.append(lit)
+    if clause:
+        raise InputFormatError("last clause is not terminated by 0")
+    if len(clauses) != num_clauses:
+        raise InputFormatError(f"{num_clauses} clauses declared, {len(clauses)} found")
+    return CnfInstance(n, params["m"], params["kappa"], k, num_vars, tuple(clauses), forbidden)
 
 
 def parse_model_text(text: str) -> list[int]:
@@ -154,8 +191,8 @@ def coloring_to_literals(inst: CnfInstance, c: EdgeColoring) -> list[int]:
     return lits
 
 
-def assignment_satisfies(inst: CnfInstance, c: EdgeColoring) -> bool:
-    """Whether the one-hot assignment of a coloring satisfies every clause."""
+def violated_clause(inst: CnfInstance, c: EdgeColoring):
+    """First clause the one-hot assignment of a coloring falsifies, or None."""
 
     def lit_true(lit):
         var = abs(lit) - 1
@@ -163,7 +200,12 @@ def assignment_satisfies(inst: CnfInstance, c: EdgeColoring) -> bool:
         value = c.colors[e] == i
         return value if lit > 0 else not value
 
-    return all(any(lit_true(l) for l in clause) for clause in inst.clauses)
+    return next((cl for cl in inst.clauses if not any(lit_true(l) for l in cl)), None)
+
+
+def assignment_satisfies(inst: CnfInstance, c: EdgeColoring) -> bool:
+    """Whether the one-hot assignment of a coloring satisfies every clause."""
+    return violated_clause(inst, c) is None
 
 
 def cnf_satisfiable_by_enumeration(inst: CnfInstance):

@@ -92,18 +92,22 @@ def test_coloring_sierpinski_and_blowup(tmp_path, capsys):
     assert parse_coloring_text(blow.read_text()).n == 5
 
 
+def _two_pentagons_model(tmp_path):
+    from hcramsey.satbridge import coloring_to_literals, emit_cnf
+
+    inst = emit_cnf(5, 3, 3, 2)
+    model = tmp_path / "model.txt"
+    lits = coloring_to_literals(inst, two_pentagons_coloring())
+    model.write_text("v " + " ".join(map(str, lits)) + " 0\n")
+    return inst, model
+
+
 def test_cnf_and_verify_model_round_trip(tmp_path, capsys):
     cnf = tmp_path / "i.cnf"
     code, _ = run(tmp_path, "cnf", "--n", "5", "--m", "3", "--kappa", "3",
                   "--colors", "2", "--out", str(cnf))
     assert code == 0
-
-    from hcramsey.satbridge import coloring_to_literals, emit_cnf
-
-    inst = emit_cnf(5, 3, 3, 2)
-    lits = coloring_to_literals(inst, two_pentagons_coloring())
-    model = tmp_path / "model.txt"
-    model.write_text("v " + " ".join(map(str, lits)) + " 0\n")
+    _, model = _two_pentagons_model(tmp_path)
     code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
     assert code == 0
     assert "avoiding" in capsys.readouterr().out
@@ -120,6 +124,37 @@ def test_verify_model_catches_bad_model(tmp_path, capsys):
     lits = coloring_to_literals(inst, EdgeColoring.constant(3, 1, 0))
     model = tmp_path / "model.txt"
     model.write_text(" ".join(map(str, lits)) + " 0\n")
+    code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
+    capsys.readouterr()
+    assert code == 1
+
+
+def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
+    from dataclasses import replace
+
+    from hcramsey.satbridge import to_dimacs
+
+    inst, model = _two_pentagons_model(tmp_path)
+    # Forbid the model's own color on edge 0: the coloring still avoids,
+    # but the file's extra clause is violated.
+    extra = (-inst.var(0, two_pentagons_coloring().colors[0]),)
+    cnf = tmp_path / "extra.cnf"
+    cnf.write_text(to_dimacs(replace(inst, clauses=inst.clauses + (extra,))))
+    code, store = run(tmp_path, "verify-model", str(cnf), str(model))
+    assert code == 1
+    assert "violates clause" in capsys.readouterr().out
+    (manifest,) = manifests(store)
+    assert manifest["outcome"]["violated_clause"] == list(extra)
+
+
+def test_verify_model_checks_the_forbidden_hash(tmp_path, capsys):
+    from dataclasses import replace
+
+    from hcramsey.satbridge import to_dimacs
+
+    inst, model = _two_pentagons_model(tmp_path)
+    cnf = tmp_path / "stale.cnf"
+    cnf.write_text(to_dimacs(replace(inst, forbidden_hash="0" * 16)))
     code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
     capsys.readouterr()
     assert code == 1

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from hcramsey.graphs import (
+    CERTIFICATE_CACHE_SIZE,
     EdgeColoring,
     Graph,
     InputFormatError,
@@ -14,6 +16,7 @@ from hcramsey.graphs import (
     is_forest,
     is_highly_connected,
     is_kappa_connected,
+    _connectivity_certificate,
     parse_graph_text,
     vertex_connectivity,
 )
@@ -167,9 +170,37 @@ class TestOracleAgreement:
     def test_incomplete_classical_equality(self):
         rng = random.Random(99)
         for _ in range(100):
-            g = random_graph(rng.randrange(2, 8), rng)
+            g = random_graph(rng.randrange(2, 11), rng)
             if not g.is_complete():
                 assert vertex_connectivity(g) == brute_force_kappa(g)
+
+
+class TestCertificates:
+    def test_certificate_digest_is_stable(self):
+        # Pins value, minimizing pair, path order and separator of the flow
+        # certificate, not just the connectivity value.
+        graphs = [g for n in range(2, 6) for g in graphs_on(n) if not g.is_complete()]
+        rng = random.Random(2018)
+        for _ in range(200):
+            g = random_graph(
+                rng.choice([7, 8, 9, 10]), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9])
+            )
+            if not g.is_complete():
+                graphs.append(g)
+        assert len(graphs) == 1290
+        h = hashlib.sha256()
+        for g in graphs:
+            value, pair, paths, separator = _connectivity_certificate(g)
+            h.update(repr((value, pair, paths, tuple(sorted(separator)))).encode())
+        assert h.hexdigest()[:12] == "9371c408799f"
+
+    def test_cache_is_bounded(self):
+        graphs = (g for g in graphs_on(6) if not g.is_complete())
+        for _, g in zip(range(CERTIFICATE_CACHE_SIZE + 100), graphs):
+            vertex_connectivity(g)
+        info = _connectivity_certificate.cache_info()
+        assert info.maxsize == CERTIFICATE_CACHE_SIZE
+        assert info.currsize == CERTIFICATE_CACHE_SIZE
 
 
 @given(graph_strategy(max_n=7))

@@ -10,6 +10,7 @@ from hcramsey.satbridge import (
     coloring_to_literals,
     decode_model,
     emit_cnf,
+    parse_dimacs,
     parse_dimacs_provenance,
     parse_model_text,
     to_dimacs,
@@ -113,6 +114,31 @@ class TestProvenance:
     def test_missing(self):
         with pytest.raises(InputFormatError):
             parse_dimacs_provenance("p cnf 1 0\n")
+
+
+class TestParseDimacs:
+    @pytest.mark.parametrize("params", [(3, 3, 1, 1), (5, 3, 3, 2), (8, 5, 2, 2)])
+    def test_round_trip(self, params):
+        inst = emit_cnf(*params)
+        assert parse_dimacs(to_dimacs(inst)) == inst
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("p cnf 3 ", "p cnf 4 "),
+            lambda t: t.replace("p cnf 3 6", "p cnf 3 7"),
+            lambda t: t.replace(" forbidden=", " hash="),
+            lambda t: t.rstrip().removesuffix(" 0") + "\n",
+            lambda t: t.replace("\n1 0\n", "\n9 0\n"),
+            lambda t: t.replace("\n1 0\n", "\nx 0\n"),
+            lambda t: t.replace("p cnf", "p dnf"),
+        ],
+    )
+    def test_malformed(self, edit):
+        text = to_dimacs(emit_cnf(3, 3, 1, 1))
+        assert "p cnf 3 6" in text and "\n1 0\n" in text
+        with pytest.raises(InputFormatError):
+            parse_dimacs(edit(text))
 
 
 class TestVerifyEquivalence:
