@@ -42,6 +42,14 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
 
 
+def subset_edge_indices(n: int, subset) -> tuple:
+    """Positions, in lexicographic pair order on n vertices, of the pairs of
+    a sorted vertex subset, listed in lexicographic order of those pairs:
+    entry i is bit i of the subset's edge mask (the connectivity-table
+    layout)."""
+    return tuple(pair_index(n, u, v) for u, v in itertools.combinations(subset, 2))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
@@ -281,8 +289,10 @@ def is_kappa_connected(g: Graph, kappa: int):
 
 
 def is_highly_connected(g: Graph) -> bool:
-    """kappa-connected for kappa = |V|; finite graphs: equivalent to complete."""
-    return is_kappa_connected(g, g.n)[0]
+    """kappa-connected for kappa = |V|.  On a finite graph that is
+    completeness: deleting all but a nonadjacent pair (fewer than |V|
+    vertices) disconnects an incomplete graph."""
+    return g.is_complete()
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +395,12 @@ def induced_color_graph(c: EdgeColoring, xi: int, vertices) -> InducedSubgraph:
         raise ValueError(f"vertex set {labels} out of range for n={c.n}")
     if not 0 <= xi < c.k:
         raise ValueError(f"color {xi} out of range for k={c.k}")
-    edges = set()
-    for i, j in itertools.combinations(range(len(labels)), 2):
-        if c.color_of(labels[i], labels[j]) == xi:
-            edges.add((i, j))
-    return InducedSubgraph(Graph(len(labels), frozenset(edges)), labels)
+    edges = frozenset(
+        pair
+        for pair, e in zip(all_pairs(len(labels)), subset_edge_indices(c.n, labels))
+        if c.colors[e] == xi
+    )
+    return InducedSubgraph(Graph(len(labels), edges), labels)
 
 
 # ---------------------------------------------------------------------------

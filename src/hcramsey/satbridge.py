@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import __version__ as _version
-from .graphs import EdgeColoring, InputFormatError, all_pairs, pair_index
+from .graphs import EdgeColoring, InputFormatError, subset_edge_indices
 from .search import AVOIDING, ForbiddenList, exists_avoiding_coloring, minimal_connected_graphs
 
 CLAUSE_LIMIT = 5_000_000
@@ -49,6 +49,8 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     edge-minimal kappa-connected graph on it, a clause forbidding the
     monochromatic copy.  Duplicate clauses are removed and the final order
     is sorted, so identical parameters give byte-identical DIMACS output."""
+    if m < 2 or kappa < 1 or k < 1:
+        raise ValueError("need m >= 2, kappa >= 1, k >= 1")
     # The guard keeps the m! factor of its original placement count, so the
     # refused instances stay the same: (9, 6, 1, 2) and (8, 6, 3, 2) are
     # refused only because of it.  The factors without the forbidden list
@@ -68,9 +70,8 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
         clauses.add(tuple(inst.var(e, i) for i in range(k)))
         for i, j in itertools.combinations(range(k), 2):
             clauses.add(tuple(sorted((-inst.var(e, i), -inst.var(e, j)))))
-    local_pairs = all_pairs(m)
     for subset in itertools.combinations(range(n), m):
-        idxs = [pair_index(n, subset[a], subset[b]) for a, b in local_pairs]
+        idxs = subset_edge_indices(n, subset)
         for fm in fl.masks:
             edges = [e for bit, e in enumerate(idxs) if fm >> bit & 1]
             for i in range(k):

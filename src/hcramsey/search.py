@@ -18,6 +18,7 @@ from .graphs import (
     induced_color_graph,
     is_kappa_connected,
     pair_index,
+    subset_edge_indices,
 )
 
 ENUMERATION_VERTEX_LIMIT = 7
@@ -138,8 +139,12 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     """First witness (subsets lexicographic, colors ascending) of a
     monochromatic kappa-connected subgraph of the stated size, or None.
 
-    "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.
-    Min-degree pruning applies on >= kappa+2 vertices.
+    "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  Each
+    subset's colors are read once, into one edge mask per color.  A
+    kappa-connected graph on s vertices is complete (degree s-1) or has
+    minimum degree >= kappa, so a color class with a vertex of degree below
+    min(kappa, s-1) is rejected without a connectivity decision; on at most
+    kappa+1 vertices the bound is exact (only complete classes pass).
     """
     if not 1 <= m <= c.n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={c.n}")
@@ -147,20 +152,21 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     sizes = [m] if mode == "exact" else range(m, c.n + 1)
     for size in sizes:
+        need = min(kappa, size - 1)
+        local_pairs = all_pairs(size)
+        stars = [
+            sum(1 << i for i, pair in enumerate(local_pairs) if v in pair)
+            for v in range(size)
+        ]
         for subset in itertools.combinations(range(c.n), size):
-            for xi in range(c.k):
-                if size >= kappa + 2:
-                    degrees_ok = all(
-                        sum(
-                            1
-                            for w in subset
-                            if w != v and c.color_of(v, w) == xi
-                        )
-                        >= kappa
-                        for v in subset
-                    )
-                    if not degrees_ok:
-                        continue
+            masks = [0] * c.k
+            bit = 1
+            for e in subset_edge_indices(c.n, subset):
+                masks[c.colors[e]] |= bit
+                bit <<= 1
+            for xi, mask in enumerate(masks):
+                if any((mask & star).bit_count() < need for star in stars):
+                    continue
                 induced = induced_color_graph(c, xi, subset)
                 ok, verdict = is_kappa_connected(induced.graph, kappa)
                 if ok:
@@ -185,20 +191,16 @@ def _colex_order(n: int):
 
 def _completion_checks(n: int, m: int):
     """For each colex position, the m-subsets that become fully colored
-    there, each as its C(m,2) edge indices in lexicographic pair order (so
-    the i-th index is bit i of a connectivity-table mask)."""
+    there, each as its subset_edge_indices (the i-th index is bit i of a
+    connectivity-table mask)."""
     order = _colex_order(n)
-    local_pairs = all_pairs(m)
-    checks = []
-    for u, v in order:
-        subsets = []
-        if m <= u + 2:
-            for rest in itertools.combinations(range(u), m - 2):
-                subset = rest + (u, v)
-                subsets.append(
-                    tuple(pair_index(n, subset[a], subset[b]) for a, b in local_pairs)
-                )
-        checks.append(subsets)
+    checks = [
+        [
+            subset_edge_indices(n, rest + (u, v))
+            for rest in itertools.combinations(range(u), m - 2)
+        ]
+        for u, v in order
+    ]
     return order, checks
 
 

@@ -66,6 +66,17 @@ def test_search_budget_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("m, kappa, colors", [(3, 0, 2), (1, 1, 2), (3, 1, 0)])
+def test_cnf_and_search_refuse_bad_parameters(tmp_path, capsys, m, kappa, colors):
+    params = ("--n", "4", "--m", str(m), "--kappa", str(kappa), "--colors", str(colors))
+    out = tmp_path / "bad.cnf"
+    code, _ = run(tmp_path, "cnf", *params, "--out", str(out))
+    assert code == 2 and not out.exists()
+    code, _ = run(tmp_path, "search", *params)
+    assert code == 2
+    capsys.readouterr()
+
+
 def test_coloring_random_is_seeded(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     run(tmp_path, "--seed", "9", "coloring", "random", "--n", "5",

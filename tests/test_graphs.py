@@ -256,7 +256,7 @@ def test_min_degree_bound(g):
 @given(graph_strategy(max_n=6))
 @settings(max_examples=100, deadline=None)
 def test_highly_connected_iff_complete(g):
-    assert is_highly_connected(g) == g.is_complete()
+    assert is_highly_connected(g) == (brute_force_kappa(g) >= g.n)
 
 
 class TestGraphTextFormat:

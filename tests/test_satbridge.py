@@ -40,6 +40,11 @@ class TestEmitCnf:
     def test_byte_identical_output(self):
         assert to_dimacs(emit_cnf(5, 3, 2, 2)) == to_dimacs(emit_cnf(5, 3, 2, 2))
 
+    @pytest.mark.parametrize("params", [(4, 3, 0, 2), (4, 1, 1, 2), (4, 3, 1, 0)])
+    def test_bad_parameters(self, params):
+        with pytest.raises(ValueError, match="need m >= 2"):
+            emit_cnf(*params)
+
     def test_size_limit(self):
         with pytest.raises(ValueError, match="size limit"):
             emit_cnf(12, 7, 2, 4)

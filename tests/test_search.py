@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from hcramsey.colorings import random_coloring
 from hcramsey.graphs import (
     EdgeColoring,
     Graph,
@@ -132,6 +134,56 @@ class TestArrowCheck:
                     sub = induced_color_graph(c, w.color, w.vertices)
                     assert is_kappa_connected(sub.graph, smaller)[0]
                 assert arrow_check(c, 1, 3) is not None
+
+
+def _arrow_grid():
+    """Seeded colorings x kappa 1..4 x every m x both modes: covers sets of
+    at most kappa+1 vertices and kappa > m."""
+    rng = random.Random(2019)
+    for seed in range(60):
+        n, k = rng.randrange(2, 8), rng.randrange(1, 4)
+        c = random_coloring(n, k, seed)
+        for kappa in range(1, 5):
+            for m in range(1, n + 1):
+                for mode in ("exact", "atLeast"):
+                    yield c, kappa, m, mode
+
+
+def _brute_first_witness(c, kappa, m, mode):
+    """(color, subset) of the first monochromatic set, in arrow_check's
+    order, whose color class the deletion oracle rates >= min(kappa, size);
+    the class is read pair by pair with color_of."""
+    sizes = [m] if mode == "exact" else range(m, c.n + 1)
+    for size in sizes:
+        local = all_pairs(size)
+        for subset in itertools.combinations(range(c.n), size):
+            for xi in range(c.k):
+                g = Graph.from_edges(size, [
+                    (i, j) for i, j in local if c.color_of(subset[i], subset[j]) == xi
+                ])
+                if brute_force_kappa(g) >= min(kappa, size):
+                    return xi, subset
+    return None
+
+
+def test_arrow_check_matches_brute_first_witness():
+    small = beyond_m = 0
+    for c, kappa, m, mode in _arrow_grid():
+        w = arrow_check(c, kappa, m, mode)
+        found = None if w is None else (w.color, w.vertices)
+        assert found == _brute_first_witness(c, kappa, m, mode), (c, kappa, m, mode)
+        small += w is not None and len(w.vertices) <= kappa + 1
+        beyond_m += kappa > m
+    assert small and beyond_m
+
+
+def test_arrow_check_witness_digest_is_stable():
+    # Pins witness color, vertex set and certificate over the grid.
+    h = hashlib.sha256()
+    for c, kappa, m, mode in _arrow_grid():
+        w = arrow_check(c, kappa, m, mode)
+        h.update(repr(None if w is None else (w.color, w.vertices, w.verdict)).encode())
+    assert h.hexdigest()[:12] == "e6709b7dca74"
 
 
 class TestExistsAvoidingColoring:
