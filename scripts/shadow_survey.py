@@ -11,11 +11,15 @@ color classes partitioning the edge set with no 2-connected monochromatic
 triple, with the color count n/2 printed next to the 2-color lower bound
 they beat.
 
+Exits 1 if any first-difference row is not clean under every order or any
+spanning-path row has a False column, else 0.
+
     python3 scripts/shadow_survey.py --max-length 4 --max-n 10 --shuffles 10
 """
 
 import argparse
 import random
+import sys
 
 from hcramsey.colorings import (
     BitstringFamily,
@@ -27,14 +31,15 @@ from hcramsey.graphs import all_pairs, is_forest
 from hcramsey.search import arrow_check
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-length", type=int, default=3)
     ap.add_argument("--max-n", type=int, default=8)
     ap.add_argument("--shuffles", type=int, default=10)
     ap.add_argument("--seed", type=int, default=20181215)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     rng = random.Random(args.seed)
+    dirty = False
 
     print("first-difference colorings")
     print(f"{'length':>7} {'points':>7} {'colors':>7} {'orders':>7} {'clean':>6}")
@@ -52,6 +57,7 @@ def main() -> None:
             no_triple = c.n < 3 or arrow_check(c, 3, 3) is None
             if check_sierpinski_triangle_free(fam) and no_triple:
                 clean += 1
+        dirty |= clean < len(orders)
         print(f"{length:>7} {len(base):>7} {2 * length:>7} "
               f"{len(orders):>7} {clean:>6}/{len(orders)}")
 
@@ -69,9 +75,11 @@ def main() -> None:
             sum(len(g.edges) for g in classes) == len(covered)
         )
         clean = arrow_check(c, 2, 3) is None
+        dirty |= not (forests and partition and clean)
         print(f"{n:>4} {c.k:>7} {str(forests):>8} {str(partition):>10} "
               f"{str(clean):>10}")
+    return 1 if dirty else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

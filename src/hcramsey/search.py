@@ -4,8 +4,8 @@ avoiding colorings, and computing finite connected Ramsey numbers."""
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -282,6 +282,21 @@ def _worker(args):
     return _backtrack(*args)
 
 
+def _next_result(results, procs):
+    """The next result of a Pool.imap.  A Pool replaces a worker that
+    dies and never returns the prefix it held, so while waiting, a
+    worker of `procs` that exited with a nonzero code is an error."""
+    while True:
+        try:
+            return results.next(timeout=0.1)
+        except multiprocessing.TimeoutError:
+            codes = [p.exitcode for p in procs if p.exitcode]
+            if codes:
+                raise RuntimeError(
+                    f"search worker exited with code {codes[0]}"
+                ) from None
+
+
 def exists_avoiding_coloring(
     n: int,
     m: int,
@@ -295,8 +310,11 @@ def exists_avoiding_coloring(
 
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
-    than one worker, top-level color prefixes are searched in parallel
-    and any avoiding coloring is accepted.
+    than one worker, top-level color prefixes are searched in parallel,
+    each under an equal share of the budget, and the search stops at the
+    first prefix, in serial order, that finds an avoiding coloring.
+    Unbudgeted, it returns the serial kind and coloring; the stats add up
+    the prefixes up to and including that one.
     """
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
@@ -317,13 +335,21 @@ def exists_avoiding_coloring(
     args = [(n, m, kappa, k, share, p) for p in prefixes]
     total = SearchStats()
     best_kind, best_colors = EXHAUSTED, None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for kind, colors, stats in pool.map(_worker, args):
+    # imap yields in prefix order, which is the serial DFS order, so the
+    # first avoiding prefix holds the serial search's coloring; leaving the
+    # with block terminates the workers still searching later prefixes.
+    before = set(multiprocessing.active_children())
+    with multiprocessing.Pool(workers) as pool:
+        procs = set(multiprocessing.active_children()) - before
+        results = pool.imap(_worker, args)
+        for _ in args:
+            kind, colors, stats = _next_result(results, procs)
             total.nodes += stats.nodes
             total.forbidden_prunes += stats.forbidden_prunes
-            if kind == AVOIDING and best_kind != AVOIDING:
+            if kind == AVOIDING:
                 best_kind, best_colors = AVOIDING, colors
-            elif kind == UNKNOWN and best_kind == EXHAUSTED:
+                break
+            if kind == UNKNOWN:
                 best_kind = UNKNOWN
     total.wall_time = time.perf_counter() - start
     coloring = EdgeColoring(n, k, best_colors) if best_colors is not None else None

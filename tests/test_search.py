@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import multiprocessing
+import os
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -205,11 +210,61 @@ class TestExistsAvoidingColoring:
         assert out.kind == UNKNOWN
 
     def test_parallel_workers_agree(self):
-        seq = exists_avoiding_coloring(5, 3, 3, 2)
-        par = exists_avoiding_coloring(5, 3, 3, 2, workers=2)
-        assert par.kind == seq.kind == AVOIDING
-        assert arrow_check(par.coloring, 3, 3) is None
-        assert exists_avoiding_coloring(6, 3, 3, 2, workers=2).kind == EXHAUSTED
+        # (n, m, kappa, k) -> (kind, pinned (nodes, forbidden_prunes) of
+        # workers=2).  Results are read in serial prefix order and the
+        # search stops at the first avoiding prefix, so two workers give
+        # the serial kind and coloring, and counts that repeat exactly.
+        cases = {
+            (5, 3, 3, 2): (AVOIDING, None),
+            (6, 3, 3, 2): (EXHAUSTED, None),
+            (7, 4, 2, 2): (EXHAUSTED, None),
+            (8, 5, 1, 3): (AVOIDING, None),
+            (10, 4, 2, 3): (AVOIDING, None),
+            (6, 6, 1, 2): (EXHAUSTED, (32768, 16384)),
+        }
+        for (n, m, kappa, k), (kind, pinned) in cases.items():
+            serial = exists_avoiding_coloring(n, m, kappa, k)
+            assert serial.kind == kind
+            runs = []
+            for _ in range(2):
+                runs.append(exists_avoiding_coloring(n, m, kappa, k, workers=2))
+                assert multiprocessing.active_children() == []
+            counts = [(p.stats.nodes, p.stats.forbidden_prunes) for p in runs]
+            assert counts[0] == counts[1]
+            for par in runs:
+                assert (par.kind, par.coloring) == (serial.kind, serial.coloring)
+            if kind == AVOIDING:
+                assert arrow_check(runs[0].coloring, kappa, m) is None
+                # The first prefix decides here, so a search that stops
+                # there counts exactly the serial nodes and prunes.
+                assert counts[0] == (
+                    serial.stats.nodes, serial.stats.forbidden_prunes
+                )
+            if pinned is not None:
+                assert counts[0] == pinned
+
+    def test_parallel_search_raises_when_a_worker_dies(self):
+        killed = []
+
+        def kill_a_worker():
+            # Kill one mid-search, as an out-of-memory kill would.
+            for _ in range(200):
+                time.sleep(0.05)
+                children = multiprocessing.active_children()
+                if children:
+                    time.sleep(0.3)
+                    os.kill(children[0].pid, signal.SIGKILL)
+                    killed.append(children[0].pid)
+                    return
+
+        killer = threading.Thread(target=kill_a_worker)
+        killer.start()
+        # Untouched, this search runs for about 2 s on two workers.
+        with pytest.raises(RuntimeError, match="exited with code -9"):
+            exists_avoiding_coloring(9, 5, 1, 3, node_budget=1_000_000, workers=2)
+        killer.join()
+        assert killed
+        assert multiprocessing.active_children() == []
 
     def test_completeness_small_grid(self):
         # spot sample; the full n <= 5 grid runs in the acceptance suite
