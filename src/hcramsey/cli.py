@@ -55,6 +55,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
+BUDGET_HELP = (
+    "node budget; with --workers > 1 each top-level color prefix gets an "
+    "equal share, so a budgeted verdict can depend on the worker count"
+)
 
 
 def _strip_volatile(value):
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("number", help="finite connected Ramsey number")
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_number)
 
     p = sub.add_parser("coloring", help="emit a coloring file")

@@ -18,6 +18,8 @@ CONNECTED = "connected"
 SEPARATED = "separated"
 
 ORACLE_SIZE_LIMIT = 12
+# At most 7: connectivity_table packs two entries (each <= m) into one
+# byte key with 3 bits each (see _fold).
 TABLE_VERTEX_LIMIT = 7
 CERTIFICATE_CACHE_SIZE = 2048
 
@@ -48,6 +50,13 @@ def subset_edge_indices(n: int, subset) -> tuple:
     entry i is bit i of the subset's edge mask (the connectivity-table
     layout)."""
     return tuple(pair_index(n, u, v) for u, v in itertools.combinations(subset, 2))
+
+
+def star_masks(n: int) -> list[int]:
+    """star_masks(n)[v] = edge mask (lexicographic pair order) of the pairs
+    at vertex v."""
+    pairs = all_pairs(n)
+    return [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(n)]
 
 
 @dataclass(frozen=True)
@@ -88,9 +97,6 @@ class Graph:
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
-
-    def degree(self, v) -> int:
-        return sum(1 for e in self.edges if v in e)
 
 
 @dataclass(frozen=True)
@@ -138,9 +144,6 @@ class EdgeColoring:
     def color_of(self, u, v) -> int:
         u, v = pair_key(u, v)
         return self.colors[pair_index(self.n, u, v)]
-
-    def pairs(self):
-        return all_pairs(self.n)
 
     def color_class(self, xi) -> Graph:
         """The graph on all n vertices whose edges carry color xi."""
@@ -336,44 +339,102 @@ def _deletion_sets(n: int) -> tuple:
     )
 
 
-def _deletion_kappa(adj: list[int], n: int) -> int:
-    """Least number of deleted vertices that disconnects the graph, or n
-    if no deletion set does (deletion semantics)."""
-    for size, remaining in _deletion_sets(n):
-        if _mask_component(adj, remaining) != remaining:
-            return size
-    return n
-
-
 def brute_force_kappa(g: Graph) -> int:
     """Largest kappa such that deleting every vertex set of size < kappa
     leaves a connected graph, by literal enumeration of deletion sets.
     Returns n for complete graphs (deletion semantics)."""
     if g.n > ORACLE_SIZE_LIMIT:
         raise ValueError("oracle size limit")
-    return _deletion_kappa(_adj_masks(g), g.n)
+    adj = _adj_masks(g)
+    for size, remaining in _deletion_sets(g.n):
+        if _mask_component(adj, remaining) != remaining:
+            return size
+    return g.n
+
+
+def _pext(x: int, keep: int) -> int:
+    """The bits of x at the set bits of keep, packed into the low bits."""
+    out = j = 0
+    while keep:
+        low = keep & -keep
+        keep ^= low
+        if x & low:
+            out |= 1 << j
+        j += 1
+    return out
+
+
+def _fold(a: bytes, b: bytes, table: bytes) -> bytes:
+    """table[8 * a[i] + b[i]] for every i; every entry must be below 8, so
+    that one integer shift and add build all the byte keys at once."""
+    keys = (int.from_bytes(a, "little") << 3) + int.from_bytes(b, "little")
+    return keys.to_bytes(len(a), "little").translate(table)
+
+
+_PLUS_ONE = bytes(range(1, 256)) + bytes(1)
+_MIN = bytes(min(x >> 3, x & 7) for x in range(256))
+_MAX = bytes(max(x >> 3, x & 7) for x in range(256))
+# Key 8 * max + min: the min where the max is at least 2, else 0.
+_GATE = bytes(x & 7 if x >> 3 >= 2 else 0 for x in range(256))
+assert TABLE_VERTEX_LIMIT < 8, "_fold keys hold table entries below 8 only"
 
 
 @lru_cache(maxsize=None)
 def connectivity_table(m: int) -> bytes:
-    """table[mask] = brute_force_kappa of the graph on m vertices whose
-    edge set is `mask` (bit i is the i-th pair in lexicographic order).
-    A graph is kappa-connected iff its entry is >= min(kappa, m)."""
+    """table[mask] = deletion-semantics kappa of the graph G on m vertices
+    whose edge set is `mask` (bit i is the i-th pair in lexicographic
+    order).  A graph is kappa-connected iff its entry is >= min(kappa, m).
+
+    Built by recursion from the (m-1) table T', so brute_force_kappa stays
+    an independent check of it.  For m >= 2:
+      - G is connected iff some vertex v with an edge in G has
+        T'[G - v] >= 1;
+      - a connected G has value 1 + min over v of T'[G - v] (a least
+        separator of G less one vertex v separates G - v, and a separator
+        of G - v plus v separates G); for the complete graph that is m.
+    So with f_v = 1 + T'[G - v] if v has an edge in G, else 0, the entry
+    is min f_v where max f_v >= 2, and 0 elsewhere.
+
+    Deleting v and renumbering the vertices above it keeps the order of
+    the other pairs, so the mask of G - v is the bits of `mask` outside
+    v's star, packed downward.  Per v, a byte pattern packs the low 7 bits
+    (bytes.translate over a window of T'), and a table per higher 7-bit
+    chunk gives the window's start.
+    """
     if m > TABLE_VERTEX_LIMIT:
         raise ValueError("enumeration size limit")
-    pairs = all_pairs(m)
-    table = bytearray(1 << len(pairs))
-    for mask in range(len(table)):
-        adj = [0] * m
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u, v = pairs[bit.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        table[mask] = _deletion_kappa(adj, m)
-    return bytes(table)
+    if m <= 1:
+        return bytes([m])
+    raised = connectivity_table(m - 1).translate(_PLUS_ONE)
+    npairs = m * (m - 1) // 2
+    low_bits = min(7, npairs)
+    least = most = None
+    for star in star_masks(m):
+        keep = ((1 << npairs) - 1) & ~star
+        width = 1 << (keep & ((1 << low_bits) - 1)).bit_count()
+        pattern = bytes(_pext(x, keep) for x in range(1 << low_bits))
+        # The window is at most 128 bytes, so byte 255 reads the zero
+        # padding: f_v = 0 where neither the low nor the high bits hold an
+        # edge at v.
+        no_edge = bytes(p if x & star else 255 for x, p in enumerate(pattern))
+        pad = bytes(256 - width)
+        starts = [0]
+        for shift in range(low_bits, npairs, 7):
+            chunk_size = 1 << min(7, npairs - shift)
+            chunk = [_pext(x << shift, keep) for x in range(chunk_size)]
+            starts = [s | c for c in chunk for s in starts]
+        high_star = star >> low_bits
+        f = b"".join([
+            (pattern if high & high_star else no_edge).translate(
+                raised[start:start + width] + pad
+            )
+            for high, start in enumerate(starts)
+        ])
+        if least is None:
+            least = most = f
+        else:
+            least, most = _fold(least, f, _MIN), _fold(most, f, _MAX)
+    return _fold(most, least, _GATE)
 
 
 def is_forest(g: Graph) -> bool:

@@ -204,11 +204,6 @@ def violated_clause(inst: CnfInstance, c: EdgeColoring):
     return next((cl for cl in inst.clauses if not any(lit_true(l) for l in cl)), None)
 
 
-def assignment_satisfies(inst: CnfInstance, c: EdgeColoring) -> bool:
-    """Whether the one-hot assignment of a coloring satisfies every clause."""
-    return violated_clause(inst, c) is None
-
-
 def cnf_satisfiable_by_enumeration(inst: CnfInstance):
     """Decide satisfiability by sweeping all colorings (every satisfying
     assignment is one-hot, so this is exhaustive); None if too large."""
@@ -217,7 +212,7 @@ def cnf_satisfiable_by_enumeration(inst: CnfInstance):
         return None
     for colors in itertools.product(range(inst.k), repeat=nedges):
         c = EdgeColoring(inst.n, inst.k, colors)
-        if assignment_satisfies(inst, c):
+        if violated_clause(inst, c) is None:
             return True
     return False
 
@@ -233,7 +228,7 @@ def verify_cnf_equivalence(grid) -> list[dict]:
         native_sat = native.kind == AVOIDING
         cnf_sat = cnf_satisfiable_by_enumeration(inst)
         if cnf_sat is None and native_sat:
-            cnf_sat = assignment_satisfies(inst, native.coloring)
+            cnf_sat = violated_clause(inst, native.coloring) is None
         reports.append(
             {
                 "params": {"n": n, "m": m, "kappa": kappa, "k": k},

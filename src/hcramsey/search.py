@@ -12,12 +12,12 @@ from functools import lru_cache
 from .graphs import (
     ConnectivityVerdict,
     EdgeColoring,
-    Graph,
     all_pairs,
     connectivity_table,
     induced_color_graph,
     is_kappa_connected,
     pair_index,
+    star_masks,
     subset_edge_indices,
 )
 
@@ -48,11 +48,7 @@ class ForbiddenList:
 
     m: int
     kappa: int
-    graphs: tuple
     masks: tuple
-
-    def spans_member(self, edge_mask: int) -> bool:
-        return any(fm & edge_mask == fm for fm in self.masks)
 
 
 @dataclass
@@ -107,7 +103,6 @@ class SearchOutcome:
 def minimal_connected_graphs(m: int, kappa: int) -> ForbiddenList:
     """Edge-minimal kappa-connected graphs on m labeled vertices, from
     the connectivity table of all 2^C(m,2) labeled graphs."""
-    pairs = all_pairs(m)
     table = connectivity_table(m)
     threshold = min(kappa, m)
     masks = []
@@ -124,11 +119,7 @@ def minimal_connected_graphs(m: int, kappa: int) -> ForbiddenList:
                 break
         if minimal:
             masks.append(mask)
-    graphs = tuple(
-        Graph(m, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
-        for mask in masks
-    )
-    return ForbiddenList(m, kappa, graphs, tuple(masks))
+    return ForbiddenList(m, kappa, tuple(masks))
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +144,7 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     sizes = [m] if mode == "exact" else range(m, c.n + 1)
     for size in sizes:
         need = min(kappa, size - 1)
-        local_pairs = all_pairs(size)
-        stars = [
-            sum(1 << i for i, pair in enumerate(local_pairs) if v in pair)
-            for v in range(size)
-        ]
+        stars = star_masks(size)
         for subset in itertools.combinations(range(c.n), size):
             masks = [0] * c.k
             bit = 1
@@ -314,7 +301,10 @@ def exists_avoiding_coloring(
     each under an equal share of the budget, and the search stops at the
     first prefix, in serial order, that finds an avoiding coloring.
     Unbudgeted, it returns the serial kind and coloring; the stats add up
-    the prefixes up to and including that one.
+    the prefixes up to and including that one.  Budgeted, each prefix gets
+    node_budget // len(prefixes) nodes, so the kind can depend on the
+    worker count: (9, 4, 2, 3) with node_budget=3000 is unknown serially
+    and avoiding with 2 workers.
     """
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")

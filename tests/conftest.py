@@ -6,11 +6,16 @@ from hypothesis import strategies as st
 from hcramsey.graphs import EdgeColoring, Graph, all_pairs
 
 
+def graph_of_mask(n, mask) -> Graph:
+    """The graph on n vertices whose edges are the set bits of mask, bit i
+    being the i-th pair in lexicographic order."""
+    return Graph(n, frozenset(p for i, p in enumerate(all_pairs(n)) if mask >> i & 1))
+
+
 def graphs_on(n):
-    """Every labeled graph on n vertices."""
-    pairs = all_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    """Every labeled graph on n vertices, in mask order."""
+    for mask in range(1 << n * (n - 1) // 2):
+        yield graph_of_mask(n, mask)
 
 
 def random_graph(n, rng: random.Random, p=0.5) -> Graph:
@@ -18,11 +23,14 @@ def random_graph(n, rng: random.Random, p=0.5) -> Graph:
 
 
 @st.composite
-def graph_strategy(draw, min_n=0, max_n=7):
+def mask_strategy(draw, min_n=0, max_n=7):
+    """(n, edge mask) of a graph on n vertices."""
     n = draw(st.integers(min_n, max_n))
-    pairs = all_pairs(n)
-    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-    return Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+    return n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+
+
+def graph_strategy(min_n=0, max_n=7):
+    return mask_strategy(min_n, max_n).map(lambda nm: graph_of_mask(*nm))
 
 
 @st.composite

@@ -10,6 +10,7 @@ from hcramsey.graphs import (
     Graph,
     InputFormatError,
     brute_force_kappa,
+    connectivity_table,
     format_graph_text,
     induced_color_graph,
     is_connected,
@@ -18,10 +19,17 @@ from hcramsey.graphs import (
     is_kappa_connected,
     _connectivity_certificate,
     parse_graph_text,
+    star_masks,
     vertex_connectivity,
 )
 
-from conftest import graph_strategy, graphs_on, random_graph
+from conftest import (
+    graph_of_mask,
+    graph_strategy,
+    graphs_on,
+    mask_strategy,
+    random_graph,
+)
 
 
 class TestIsConnected:
@@ -175,6 +183,18 @@ class TestOracleAgreement:
                 assert vertex_connectivity(g) == brute_force_kappa(g)
 
 
+class TestConnectivityTable:
+    """The table is built by recursion on m; the deletion-set oracle is
+    separate code, so comparing the two checks the recursion."""
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_every_mask_matches_brute_force_oracle(self, m):
+        table = connectivity_table(m)
+        assert len(table) == 1 << m * (m - 1) // 2
+        for mask, g in enumerate(graphs_on(m)):
+            assert table[mask] == brute_force_kappa(g), (m, mask)
+
+
 class TestCertificates:
     def test_certificate_digest_is_stable(self):
         # Pins value, minimizing pair, path order and separator of the flow
@@ -243,14 +263,16 @@ def test_verdict_certificates(g):
             assert residual.n >= 2
 
 
-@given(graph_strategy(min_n=2, max_n=7))
+@given(mask_strategy(min_n=2, max_n=7))
 @settings(max_examples=150, deadline=None)
-def test_min_degree_bound(g):
+def test_min_degree_bound(n_mask):
+    n, mask = n_mask
+    g = graph_of_mask(n, mask)
     if g.is_complete():
         return
     kappa = vertex_connectivity(g)
     if kappa > 0:
-        assert min(g.degree(v) for v in range(g.n)) >= kappa
+        assert min((mask & star).bit_count() for star in star_masks(n)) >= kappa
 
 
 @given(graph_strategy(max_n=6))

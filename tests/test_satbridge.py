@@ -5,7 +5,6 @@ import pytest
 
 from hcramsey.graphs import EdgeColoring, InputFormatError, connectivity_table
 from hcramsey.satbridge import (
-    assignment_satisfies,
     cnf_satisfiable_by_enumeration,
     coloring_to_literals,
     decode_model,
@@ -15,6 +14,7 @@ from hcramsey.satbridge import (
     parse_model_text,
     to_dimacs,
     verify_cnf_equivalence,
+    violated_clause,
 )
 from hcramsey.search import AVOIDING, arrow_check, exists_avoiding_coloring
 
@@ -29,7 +29,7 @@ class TestEmitCnf:
 
     def test_n5_satisfiable_by_known_avoider(self):
         inst = emit_cnf(5, 3, 3, 2)
-        assert assignment_satisfies(inst, two_pentagons_coloring())
+        assert violated_clause(inst, two_pentagons_coloring()) is None
 
     def test_n6_unsatisfiable(self):
         assert cnf_satisfiable_by_enumeration(emit_cnf(6, 3, 3, 2)) is False

@@ -22,3 +22,16 @@ def test_shadow_survey_exits_1_on_a_dirty_row(monkeypatch, capsys):
     monkeypatch.setattr(survey, "arrow_check", lambda *args: object())
     assert survey.main(["--max-length", "2", "--max-n", "4", "--shuffles", "1"]) == 1
     assert "0/2" in capsys.readouterr().out
+
+
+def test_check_table_exits_clean_at_m5(capsys):
+    assert _load("check_table").main(["--m", "5"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_check_table_exits_1_on_an_oracle_mismatch(monkeypatch, capsys):
+    check = _load("check_table")
+    oracle = check.brute_force_kappa
+    monkeypatch.setattr(check, "brute_force_kappa", lambda g: oracle(g) + 1)
+    assert check.main(["--m", "5"]) == 1
+    assert "oracle mismatches" in capsys.readouterr().out

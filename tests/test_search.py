@@ -17,6 +17,7 @@ from hcramsey.graphs import (
     brute_force_kappa,
     induced_color_graph,
     is_kappa_connected,
+    star_masks,
 )
 from hcramsey.search import (
     AVOIDING,
@@ -30,30 +31,42 @@ from hcramsey.search import (
     ramsey_number,
 )
 
-from conftest import two_pentagons_coloring
+from conftest import graph_of_mask, graphs_on, two_pentagons_coloring
+
+
+def spans_member(fl, mask):
+    """Whether the graph of mask contains a member of fl as a spanning
+    subgraph."""
+    return any(fm & mask == fm for fm in fl.masks)
 
 
 class TestMinimalConnectedGraphs:
     def test_3_2_is_triangle(self):
         fl = minimal_connected_graphs(3, 2)
-        assert [g.edges for g in fl.graphs] == [Graph.complete(3).edges]
+        assert [graph_of_mask(3, fm) for fm in fl.masks] == [Graph.complete(3)]
 
     def test_4_2_is_the_three_labeled_4cycles(self):
         fl = minimal_connected_graphs(4, 2)
-        assert len(fl.graphs) == 3
-        for g in fl.graphs:
-            assert len(g.edges) == 4
-            assert all(g.degree(v) == 2 for v in range(4))
+        assert len(fl.masks) == 3
+        for fm in fl.masks:
+            assert fm.bit_count() == 4
+            assert all((fm & star).bit_count() == 2 for star in star_masks(4))
 
     def test_3_1_is_the_three_paths(self):
         fl = minimal_connected_graphs(3, 1)
-        assert len(fl.graphs) == 3
-        assert all(len(g.edges) == 2 for g in fl.graphs)
+        assert len(fl.masks) == 3
+        assert all(fm.bit_count() == 2 for fm in fl.masks)
 
     def test_kappa_equals_m_gives_complete(self):
         for m in (3, 4, 5):
             fl = minimal_connected_graphs(m, m)
-            assert [g.edges for g in fl.graphs] == [Graph.complete(m).edges]
+            assert [graph_of_mask(m, fm) for fm in fl.masks] == [Graph.complete(m)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_spanning_trees_are_cayley_counted(self, m):
+        # The edge-minimal connected graphs are the spanning trees:
+        # m^(m-2) of them on m labeled vertices (Cayley).
+        assert len(minimal_connected_graphs(m, 1).masks) == m ** (m - 2)
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="enumeration size limit"):
@@ -61,34 +74,29 @@ class TestMinimalConnectedGraphs:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_spanning_iff_connected_exhaustive(self, m):
-        pairs = all_pairs(m)
         for kappa in range(1, m + 1):
             fl = minimal_connected_graphs(m, kappa)
-            for mask in range(1 << len(pairs)):
-                g = Graph(
-                    m, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-                )
-                assert fl.spans_member(mask) == is_kappa_connected(g, kappa)[0]
+            for mask, g in enumerate(graphs_on(m)):
+                assert spans_member(fl, mask) == is_kappa_connected(g, kappa)[0]
 
     def test_spanning_iff_connected_sampled_m6(self):
-        pairs = all_pairs(6)
         rng = random.Random(606)
-        masks = [rng.randrange(1 << len(pairs)) for _ in range(300)]
+        masks = [rng.randrange(1 << 15) for _ in range(300)]
         for kappa in range(1, 7):
             fl = minimal_connected_graphs(6, kappa)
             for mask in masks:
-                g = Graph(
-                    6, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-                )
-                assert fl.spans_member(mask) == is_kappa_connected(g, kappa)[0]
+                g = graph_of_mask(6, mask)
+                assert spans_member(fl, mask) == is_kappa_connected(g, kappa)[0]
 
     def test_members_are_minimal(self):
         fl = minimal_connected_graphs(5, 2)
-        for g in fl.graphs:
-            assert is_kappa_connected(g, 2)[0]
-            for edge in g.edges:
-                smaller = Graph(5, g.edges - {edge})
-                assert not is_kappa_connected(smaller, 2)[0]
+        for fm in fl.masks:
+            assert is_kappa_connected(graph_of_mask(5, fm), 2)[0]
+            rest = fm
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                assert not is_kappa_connected(graph_of_mask(5, fm ^ bit), 2)[0]
 
 
 class TestArrowCheck:
