@@ -13,6 +13,7 @@ from .graphs import (
     InputFormatError,
     all_pairs,
     pair_key,
+    read_records,
 )
 
 DELTA_MINER_SIZE_LIMIT = 10
@@ -378,30 +379,12 @@ def format_coloring_text(c: EdgeColoring) -> str:
 
 
 def parse_coloring_text(text: str) -> EdgeColoring:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputFormatError("line 1: missing 'n k' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InputFormatError("line 1: expected 'n k'")
-    try:
-        n, k = int(header[0]), int(header[1])
-    except ValueError:
-        raise InputFormatError("line 1: 'n k' must be integers") from None
-    expected = all_pairs(n)
-    if len(lines) - 1 != len(expected):
-        raise InputFormatError(
-            f"expected {len(expected)} pair lines, found {len(lines) - 1}"
-        )
+    (n, k), records = read_records(text, "n k", "u v color")
+    npairs = n * (n - 1) // 2
+    if len(records) != npairs:
+        raise InputFormatError(f"expected {npairs} pair lines, found {len(records)}")
     colors = []
-    for i, (line, pair) in enumerate(zip(lines[1:], expected), start=2):
-        fields = line.split()
-        if len(fields) != 3:
-            raise InputFormatError(f"line {i}: expected 'u v color'")
-        try:
-            u, v, col = (int(f) for f in fields)
-        except ValueError:
-            raise InputFormatError(f"line {i}: fields must be integers") from None
+    for (i, (u, v, col)), pair in zip(records, itertools.combinations(range(n), 2)):
         if (u, v) != pair:
             raise InputFormatError(f"line {i}: expected pair {pair}, got ({u}, {v})")
         if not 0 <= col < k:
@@ -418,22 +401,16 @@ def format_family_text(family: BitstringFamily) -> str:
 
 
 def parse_family_text(text: str) -> BitstringFamily:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputFormatError("line 1: missing 'lambda mu' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InputFormatError("line 1: expected 'lambda mu'")
-    try:
-        length, mu = int(header[0]), int(header[1])
-    except ValueError:
-        raise InputFormatError("line 1: 'lambda mu' must be integers") from None
-    if len(lines) - 1 != mu:
-        raise InputFormatError(f"expected {mu} strings, found {len(lines) - 1}")
-    try:
-        return BitstringFamily(length, tuple(lines[1:]))
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from None
+    (length, mu), records = read_records(text, "lambda mu")
+    if len(records) != mu:
+        raise InputFormatError(f"expected {mu} strings, found {len(records)}")
+    first_line = {}
+    for i, s in records:
+        if len(s) != length or s.strip("01"):
+            raise InputFormatError(f"line {i}: bad bitstring {s!r} for length {length}")
+        if first_line.setdefault(s, i) != i:
+            raise InputFormatError(f"line {i}: duplicate of line {first_line[s]}")
+    return BitstringFamily(length, tuple(first_line))
 
 
 def format_set_family_text(family, n: int) -> str:
@@ -446,30 +423,17 @@ def format_set_family_text(family, n: int) -> str:
 
 
 def parse_set_family_text(text: str):
-    """Returns (family dict, n) for the delta-system miner."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputFormatError("line 1: missing 'n' header")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise InputFormatError("line 1: 'n' must be an integer") from None
+    """Returns (family dict, n) for the delta-system miner.  The pairs are
+    in range and distinct, so their count proves that none is missing."""
+    (n,), records = read_records(text, "n", "alpha beta members...")
+    npairs = n * (n - 1) // 2
+    if len(records) != npairs:
+        raise InputFormatError(f"expected {npairs} pair lines, found {len(records)}")
     family = {}
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if len(fields) < 2:
-            raise InputFormatError(f"line {i}: expected 'alpha beta members...'")
-        try:
-            a, b = int(fields[0]), int(fields[1])
-            members = frozenset(int(f) for f in fields[2:])
-        except ValueError:
-            raise InputFormatError(f"line {i}: fields must be integers") from None
+    for i, (a, b, *members) in records:
         if not 0 <= a < b < n:
             raise InputFormatError(f"line {i}: pair ({a}, {b}) out of range")
         if (a, b) in family:
             raise InputFormatError(f"line {i}: duplicate pair ({a}, {b})")
-        family[(a, b)] = members
-    for pair in all_pairs(n):
-        if pair not in family:
-            raise InputFormatError(f"missing pair {pair}")
+        family[(a, b)] = frozenset(members)
     return family, n

@@ -28,6 +28,39 @@ class InputFormatError(ValueError):
     """Malformed text input; message carries a line/field diagnostic."""
 
 
+def read_records(text: str, header: str, record: str | None = None):
+    """The header values and the (line number, fields) records of a text
+    input.  Blank lines are skipped; line numbers count every line.
+
+    The first nonblank line holds the nonnegative integers named by
+    `header` (such as "n k"), each later line the integers named by
+    `record` (such as "u v color"), where a last name ending in "..."
+    stands for any number of further integers.  With record=None each
+    record is its stripped line, unconverted.
+    """
+
+    def integers(i, line, names):
+        fields, need = line.split(), names.split()
+        more = need[-1].endswith("...")
+        if len(fields) < len(need) - more or (len(fields) > len(need) and not more):
+            raise InputFormatError(f"line {i}: expected '{names}'")
+        try:
+            return tuple(map(int, fields))
+        except ValueError:
+            raise InputFormatError(f"line {i}: '{names}' must be integers") from None
+
+    lines = [(i, s) for i, line in enumerate(text.splitlines(), 1) if (s := line.strip())]
+    if not lines:
+        raise InputFormatError(f"line 1: missing '{header}' header")
+    (i, line), body = lines[0], lines[1:]
+    values = integers(i, line, header)
+    if min(values) < 0:
+        raise InputFormatError(f"line {i}: '{header}' must be nonnegative")
+    if record is None:
+        return values, body
+    return values, [(i, integers(i, line, record)) for i, line in body]
+
+
 def pair_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -475,30 +508,14 @@ def format_graph_text(g: Graph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputFormatError("line 1: missing 'n m' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise InputFormatError("line 1: expected 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise InputFormatError("line 1: 'n m' must be integers") from None
-    if len(lines) - 1 != m:
-        raise InputFormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for i, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if len(fields) != 2:
-            raise InputFormatError(f"line {i}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise InputFormatError(f"line {i}: endpoints must be integers") from None
+    (n, m), records = read_records(text, "n m", "u v")
+    if len(records) != m:
+        raise InputFormatError(f"expected {m} edge lines, found {len(records)}")
+    edges = set()
+    for i, (u, v) in records:
         if not 0 <= u < v < n:
             raise InputFormatError(f"line {i}: edge ({u}, {v}) out of range")
-        edges.append((u, v))
-    if len(set(edges)) != len(edges):
-        raise InputFormatError("duplicate edge")
+        if (u, v) in edges:
+            raise InputFormatError(f"line {i}: duplicate edge ({u}, {v})")
+        edges.add((u, v))
     return Graph(n, frozenset(edges))

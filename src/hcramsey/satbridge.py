@@ -14,10 +14,15 @@ from dataclasses import dataclass, replace
 
 from . import __version__ as _version
 from .graphs import EdgeColoring, InputFormatError, subset_edge_indices
-from .search import AVOIDING, ForbiddenList, exists_avoiding_coloring, minimal_connected_graphs
+from .search import (
+    AVOIDING,
+    ForbiddenList,
+    enumerate_all_colorings,
+    exists_avoiding_coloring,
+    minimal_connected_graphs,
+)
 
 CLAUSE_LIMIT = 5_000_000
-ENUMERATION_LIMIT = 1 << 16
 
 
 def forbidden_list_hash(fl: ForbiddenList) -> str:
@@ -89,43 +94,37 @@ def to_dimacs(inst: CnfInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _provenance_fields(text: str) -> dict:
-    for line in text.splitlines():
-        if line.startswith("c ") and "kappa=" in line:
-            return dict(part.split("=", 1) for part in line[2:].split() if "=" in part)
-    raise InputFormatError("no provenance comment found")
-
-
-def parse_dimacs_provenance(text: str) -> dict:
-    """Recover (n, m, kappa, k) from the provenance comment line."""
-    fields = _provenance_fields(text)
-    try:
-        return {key: int(fields[key]) for key in ("n", "m", "kappa", "k")}
-    except (KeyError, ValueError):
-        raise InputFormatError("malformed provenance comment") from None
-
-
 def parse_dimacs(text: str) -> CnfInstance:
     """Inverse of to_dimacs: the instance, with its clauses in file order,
-    read back from DIMACS text."""
-    params = parse_dimacs_provenance(text)
-    forbidden = _provenance_fields(text).get("forbidden")
-    if forbidden is None:
+    read back from DIMACS text in one pass."""
+    provenance, header, literals = None, None, []
+    for i, line in enumerate(text.splitlines(), 1):
+        if line[:1] == "c":
+            if provenance is None and line.startswith("c ") and "kappa=" in line:
+                provenance = dict(part.split("=", 1) for part in line[2:].split() if "=" in part)
+        elif line[:1] == "p":
+            if header is not None:
+                raise InputFormatError(f"line {i}: second 'p' line")
+            header = line.split()
+        else:
+            try:
+                literals.extend(map(int, line.split()))
+            except ValueError:
+                raise InputFormatError(f"line {i}: literals must be integers") from None
+    if provenance is None:
+        raise InputFormatError("no provenance comment found")
+    try:
+        n, m, kappa, k = (int(provenance[key]) for key in ("n", "m", "kappa", "k"))
+    except (KeyError, ValueError):
+        raise InputFormatError("malformed provenance comment") from None
+    if "forbidden" not in provenance:
         raise InputFormatError("provenance comment has no forbidden= hash")
-    lines = text.splitlines()
-    header = [line.split() for line in lines if line.startswith("p ")]
-    if len(header) != 1 or len(header[0]) != 4 or header[0][1] != "cnf":
+    if header is None or len(header) != 4 or header[:2] != ["p", "cnf"]:
         raise InputFormatError("expected one 'p cnf <vars> <clauses>' line")
     try:
-        num_vars, num_clauses = int(header[0][2]), int(header[0][3])
-        literals = [
-            int(token)
-            for line in lines if line[:1] not in ("c", "p")
-            for token in line.split()
-        ]
+        num_vars, num_clauses = int(header[2]), int(header[3])
     except ValueError:
-        raise InputFormatError("'p cnf' counts and literals must be integers") from None
-    n, k = params["n"], params["k"]
+        raise InputFormatError("'p cnf' counts must be integers") from None
     if num_vars != n * (n - 1) // 2 * k:
         raise InputFormatError(f"{num_vars} variables declared, n={n} k={k} needs "
                                f"{n * (n - 1) // 2 * k}")
@@ -142,7 +141,7 @@ def parse_dimacs(text: str) -> CnfInstance:
         raise InputFormatError("last clause is not terminated by 0")
     if len(clauses) != num_clauses:
         raise InputFormatError(f"{num_clauses} clauses declared, {len(clauses)} found")
-    return CnfInstance(n, params["m"], params["kappa"], k, num_vars, tuple(clauses), forbidden)
+    return CnfInstance(n, m, kappa, k, num_vars, tuple(clauses), provenance["forbidden"])
 
 
 def parse_model_text(text: str) -> list[int]:
@@ -207,14 +206,11 @@ def violated_clause(inst: CnfInstance, c: EdgeColoring):
 def cnf_satisfiable_by_enumeration(inst: CnfInstance):
     """Decide satisfiability by sweeping all colorings (every satisfying
     assignment is one-hot, so this is exhaustive); None if too large."""
-    nedges = inst.n * (inst.n - 1) // 2
-    if inst.k**nedges > ENUMERATION_LIMIT:
+    try:
+        colorings = enumerate_all_colorings(inst.n, inst.k)
+    except ValueError:
         return None
-    for colors in itertools.product(range(inst.k), repeat=nedges):
-        c = EdgeColoring(inst.n, inst.k, colors)
-        if violated_clause(inst, c) is None:
-            return True
-    return False
+    return any(violated_clause(inst, c) is None for c in colorings)
 
 
 def verify_cnf_equivalence(grid) -> list[dict]:

@@ -21,7 +21,7 @@ from .graphs import (
     subset_edge_indices,
 )
 
-ENUMERATION_VERTEX_LIMIT = 7
+ENUMERATION_LIMIT = 1 << 16  # most colorings k^C(n,2) one enumeration may yield
 
 AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
@@ -235,16 +235,10 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=()):
             colors[lex_of[pos]] = -1
         return False
 
-    start = time.perf_counter()
     try:
-        if nedges == 0:
-            found = True
-        else:
-            found = rec(0, 0)
-        kind = AVOIDING if found else EXHAUSTED
+        kind = AVOIDING if rec(0, 0) else EXHAUSTED
     except _Budget:
         kind = UNKNOWN
-    stats.wall_time = time.perf_counter() - start
     if kind == AVOIDING:
         return kind, tuple(colors), stats
     return kind, None, stats
@@ -395,9 +389,10 @@ def ramsey_number(
 
 
 def enumerate_all_colorings(n: int, k: int):
-    """Every k-coloring of K_n, for completeness cross-checks."""
-    if n > ENUMERATION_VERTEX_LIMIT:
-        raise ValueError("enumeration size limit")
+    """Every k-coloring of K_n, for completeness cross-checks; raises
+    ValueError, before yielding any, when there are more than
+    ENUMERATION_LIMIT."""
     nedges = n * (n - 1) // 2
-    for colors in itertools.product(range(k), repeat=nedges):
-        yield EdgeColoring(n, k, colors)
+    if k**nedges > ENUMERATION_LIMIT:
+        raise ValueError("enumeration size limit")
+    return (EdgeColoring(n, k, colors) for colors in itertools.product(range(k), repeat=nedges))

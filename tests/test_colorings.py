@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,12 @@ from hcramsey.colorings import (
     forest_partition_coloring,
     format_coloring_text,
     format_family_text,
+    format_set_family_text,
     is_subadditive,
     mine_delta_system,
     parse_coloring_text,
     parse_family_text,
+    parse_set_family_text,
     path_confinement_check,
     path_confinement_counterexample,
     random_coloring,
@@ -24,7 +28,7 @@ from hcramsey.colorings import (
     subadditivity_violation,
     tree_order,
 )
-from hcramsey.graphs import EdgeColoring, Graph, all_pairs, is_forest, is_kappa_connected, induced_color_graph
+from hcramsey.graphs import EdgeColoring, Graph, InputFormatError, all_pairs, is_forest, is_kappa_connected, induced_color_graph
 from hcramsey.search import arrow_check
 
 from conftest import coloring_strategy, monotone_coloring, sample_subadditive
@@ -305,3 +309,85 @@ class TestColoringTextFormat:
     def test_family_round_trip(self):
         fam = shuffled_family(3, 11)
         assert parse_family_text(format_family_text(fam)) == fam
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_set_family_round_trip(self, n):
+        rng = random.Random(n)
+        fam = {pair: frozenset(rng.sample(range(9), rng.randrange(4))) for pair in all_pairs(n)}
+        assert parse_set_family_text(format_set_family_text(fam, n)) == (fam, n)
+
+
+class TestMalformedText:
+    # Each message names the line of the text it quotes; the last case of
+    # each format puts blank lines before the bad line.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing 'n k' header"),
+            ("3\n", "line 1: expected 'n k'"),
+            ("3 x\n", "line 1: 'n k' must be integers"),
+            ("-1 2\n0 1 0\n", "line 1: 'n k' must be nonnegative"),
+            ("2 2\n", "expected 1 pair lines, found 0"),
+            ("2 2\n0 1\n", "line 2: expected 'u v color'"),
+            ("2 2\n0 1 0 1\n", "line 2: expected 'u v color'"),
+            ("2 2\n0 1 x\n", "line 2: 'u v color' must be integers"),
+            ("2 2\n0 1 2\n", "line 2: color 2 out of range"),
+            ("3 2\n0 1 0\n0 1 0\n1 2 0\n", "line 3: expected pair (0, 2), got (0, 1)"),
+            ("\n3 2\n\n0 1 0\n\n0 2 1\n\n1 2 -1\n", "line 8: color -1 out of range"),
+        ],
+    )
+    def test_coloring(self, text, message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            parse_coloring_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing 'lambda mu' header"),
+            ("2\n", "line 1: expected 'lambda mu'"),
+            ("2 two\n", "line 1: 'lambda mu' must be integers"),
+            ("2 -1\n", "line 1: 'lambda mu' must be nonnegative"),
+            ("2 2\n01\n", "expected 2 strings, found 1"),
+            ("2 1\n012\n", "line 2: bad bitstring '012' for length 2"),
+            ("2 1\n0x\n", "line 2: bad bitstring '0x' for length 2"),
+            ("2 2\n01\n01\n", "line 3: duplicate of line 2"),
+            ("\n\n2 2\n\n10\n\n\n10\n", "line 8: duplicate of line 5"),
+        ],
+    )
+    def test_family(self, text, message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            parse_family_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: missing 'n' header"),
+            ("3 1\n", "line 1: expected 'n'"),
+            ("x\n", "line 1: 'n' must be integers"),
+            ("3\n0 1\n0 2\n", "expected 3 pair lines, found 2"),
+            ("3\n0 1\n0 2\n1\n", "line 4: expected 'alpha beta members...'"),
+            ("3\n0 1\n0 2 y\n1 2\n", "line 3: 'alpha beta members...' must be integers"),
+            ("3\n0 1\n0 3\n1 2\n", "line 3: pair (0, 3) out of range"),
+            ("3\n0 1\n2 1\n1 2\n", "line 3: pair (2, 1) out of range"),
+            ("3\n0 1 5\n0 1 6\n1 2\n", "line 3: duplicate pair (0, 1)"),
+            ("3\n\n0 1 5\n\n\n0 2 x\n1 2\n", "line 6: 'alpha beta members...' must be integers"),
+        ],
+    )
+    def test_set_family(self, text, message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
+            parse_set_family_text(text)
+
+    @pytest.mark.parametrize(
+        "parse, text",
+        [(parse_coloring_text, "1500 2\n0 1 0\n"), (parse_set_family_text, "1500\n0 1\n")],
+    )
+    def test_record_count_checked_before_any_pair_list(self, parse, text):
+        # 1,124,250 pairs would take tens of MB as a list of tuples.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputFormatError, match="expected 1124250 pair lines, found 1"):
+                parse(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

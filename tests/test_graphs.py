@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -297,4 +298,17 @@ class TestGraphTextFormat:
     )
     def test_malformed(self, text):
         with pytest.raises(InputFormatError):
+            parse_graph_text(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n\n\n0 1\n1 x\n", "line 5: 'u v' must be integers"),
+            ("\n\n3 2 1\n0 1\n1 2\n", "line 3: expected 'n m'"),
+            ("3 2\n0 1\n\n0 1\n", "line 4: duplicate edge (0, 1)"),
+            ("3 1\n\n2 1\n", "line 3: edge (2, 1) out of range"),
+        ],
+    )
+    def test_error_names_the_line_of_the_text(self, text, message):
+        with pytest.raises(InputFormatError, match=re.escape(message)):
             parse_graph_text(text)

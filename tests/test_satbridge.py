@@ -10,7 +10,6 @@ from hcramsey.satbridge import (
     decode_model,
     emit_cnf,
     parse_dimacs,
-    parse_dimacs_provenance,
     parse_model_text,
     to_dimacs,
     verify_cnf_equivalence,
@@ -36,6 +35,10 @@ class TestEmitCnf:
 
     def test_single_coloring_unsatisfiable(self):
         assert cnf_satisfiable_by_enumeration(emit_cnf(3, 3, 1, 1)) is False
+
+    def test_enumeration_declines_past_the_limit(self):
+        # 2^21 colorings of K_7 exceed the enumeration limit.
+        assert cnf_satisfiable_by_enumeration(emit_cnf(7, 3, 1, 2)) is None
 
     def test_byte_identical_output(self):
         assert to_dimacs(emit_cnf(5, 3, 2, 2)) == to_dimacs(emit_cnf(5, 3, 2, 2))
@@ -113,12 +116,13 @@ class TestModelText:
 class TestProvenance:
     def test_round_trip(self):
         inst = emit_cnf(5, 3, 2, 2)
-        params = parse_dimacs_provenance(to_dimacs(inst))
+        parsed = parse_dimacs(to_dimacs(inst))
+        params = {"n": parsed.n, "m": parsed.m, "kappa": parsed.kappa, "k": parsed.k}
         assert params == {"n": 5, "m": 3, "kappa": 2, "k": 2}
 
     def test_missing(self):
         with pytest.raises(InputFormatError):
-            parse_dimacs_provenance("p cnf 1 0\n")
+            parse_dimacs("p cnf 1 0\n")
 
 
 class TestParseDimacs:
@@ -144,6 +148,12 @@ class TestParseDimacs:
         assert "p cnf 3 6" in text and "\n1 0\n" in text
         with pytest.raises(InputFormatError):
             parse_dimacs(edit(text))
+
+    def test_bad_literal_names_its_line(self):
+        text = to_dimacs(emit_cnf(3, 3, 1, 1)).replace("\n1 0\n", "\n\n\n1 x 0\n")
+        line = text.splitlines().index("1 x 0") + 1
+        with pytest.raises(InputFormatError, match=f"line {line}: literals must be integers"):
+            parse_dimacs(text)
 
 
 class TestVerifyEquivalence:

@@ -21,6 +21,7 @@ from hcramsey.graphs import (
 )
 from hcramsey.search import (
     AVOIDING,
+    ENUMERATION_LIMIT,
     EXHAUSTED,
     UNKNOWN,
     SearchOutcome,
@@ -344,3 +345,13 @@ class TestRamseyNumber:
     def test_nmax_too_small(self):
         with pytest.raises(ValueError):
             ramsey_number(4, 1, 2, 3)
+
+
+def test_enumeration_limit_counts_colorings():
+    # 3^21 colorings of K_7; the limit is on k^C(n,2), not on n.
+    with pytest.raises(ValueError, match="enumeration size limit"):
+        next(enumerate_all_colorings(7, 3))
+    with pytest.raises(ValueError, match="enumeration size limit"):
+        next(enumerate_all_colorings(2, ENUMERATION_LIMIT + 1))
+    assert next(enumerate_all_colorings(2, ENUMERATION_LIMIT)).colors == (0,)
+    assert next(enumerate_all_colorings(6, 2)).colors == (0,) * 15
