@@ -34,6 +34,7 @@ from .graphs import (
     vertex_connectivity,
 )
 from .satbridge import (
+    NoModel,
     decode_model,
     emit_cnf,
     forbidden_list_hash,
@@ -58,6 +59,12 @@ EXIT_UNKNOWN = 3
 BUDGET_HELP = (
     "node budget; with --workers > 1 each top-level color prefix gets an "
     "equal share, so a budgeted verdict can depend on the worker count"
+)
+SEARCH_HELP = (
+    "one table lookup per completed m-set, in a table of colors^C(m,2) "
+    "entries; more than 2^24 entries (m=7 with colors >= 3, m=6 with "
+    "colors >= 4, m=5 with colors >= 6, m=4 with colors >= 17) is refused "
+    "with exit 2"
 )
 
 
@@ -226,7 +233,11 @@ def cmd_verify_model(args):
         outcome = {"params": params, "valid": False,
                    "forbidden_hash": inst.forbidden_hash, "expected_hash": expected}
         return outcome, EXIT_FAILED
-    literals = parse_model_text(_read(args.model_file))
+    try:
+        literals = parse_model_text(_read(args.model_file))
+    except NoModel as exc:
+        print(f"no model: {exc}")
+        return {"params": params, "valid": False, "solver_status": exc.status}, EXIT_FAILED
     try:
         coloring = decode_model(inst, literals)
     except ValueError as exc:
@@ -295,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-least", action="store_true")
     p.set_defaults(func=cmd_arrow)
 
-    p = sub.add_parser("search", help="search for an avoiding coloring")
+    p = sub.add_parser("search", help="search for an avoiding coloring",
+                       description="Search for an avoiding coloring: " + SEARCH_HELP + ".")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
@@ -304,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("number", help="finite connected Ramsey number")
+    p = sub.add_parser("number", help="finite connected Ramsey number",
+                       description="Least n whose every coloring has a monochromatic "
+                       "kappa-connected m-set, by search: " + SEARCH_HELP + ".")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)

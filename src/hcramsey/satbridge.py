@@ -144,20 +144,48 @@ def parse_dimacs(text: str) -> CnfInstance:
     return CnfInstance(n, m, kappa, k, num_vars, tuple(clauses), provenance["forbidden"])
 
 
+# Solver answers: SAT competition 's' lines, and MiniSat's bare first line.
+_ANSWERS = {
+    "SATISFIABLE": True, "SAT": True,
+    "UNSATISFIABLE": False, "UNSAT": False, "UNKNOWN": False, "INDET": False,
+}
+
+
+class NoModel(Exception):
+    """A solver transcript whose answer is not satisfiable; `status` is
+    that answer, such as UNSATISFIABLE or UNKNOWN."""
+
+    def __init__(self, status: str, line: int):
+        super().__init__(f"line {line}: solver answered {status}")
+        self.status = status
+
+
 def parse_model_text(text: str) -> list[int]:
-    """Whitespace-separated literal list (solver v-line format); 'v'/'s'
-    prefixes are skipped and a terminating 0 ends the list."""
+    """The literals of a solver transcript, read line by line: 'c' lines
+    are comments, an 's' line (or MiniSat's bare SAT/UNSAT line) gives the
+    solver's answer, and the literals stand on 'v' lines (or lines with no
+    prefix) up to a terminating 0.  An answer such as UNSATISFIABLE or
+    UNKNOWN raises NoModel; every error names its line."""
     literals = []
-    for token in text.split():
-        if token in ("v", "s") or token.upper() in ("SAT", "SATISFIABLE"):
+    for i, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0] == "c":
             continue
-        try:
-            lit = int(token)
-        except ValueError:
-            raise InputFormatError(f"bad literal {token!r}") from None
-        if lit == 0:
-            break
-        literals.append(lit)
+        if fields[0] == "s" or (len(fields) == 1 and fields[0] in _ANSWERS):
+            status = " ".join(fields[1:]) if fields[0] == "s" else fields[0]
+            if status not in _ANSWERS:
+                raise InputFormatError(f"line {i}: unknown solver answer {status!r}")
+            if not _ANSWERS[status]:
+                raise NoModel(status, i)
+            continue
+        for token in fields[fields[0] == "v":]:
+            try:
+                lit = int(token)
+            except ValueError:
+                raise InputFormatError(f"line {i}: bad literal {token!r}") from None
+            if lit == 0:
+                return literals
+            literals.append(lit)
     return literals
 
 

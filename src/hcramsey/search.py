@@ -22,6 +22,7 @@ from .graphs import (
 )
 
 ENUMERATION_LIMIT = 1 << 16  # most colorings k^C(n,2) one enumeration may yield
+PATTERN_LIMIT = 1 << 24  # most entries k^C(m,2) one pattern table may hold
 
 AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
@@ -176,46 +177,83 @@ def _colex_order(n: int):
     return sorted(all_pairs(n), key=lambda p: (p[1], p[0]))
 
 
-def _completion_checks(n: int, m: int):
-    """For each colex position, the m-subsets that become fully colored
-    there, each as its subset_edge_indices (the i-th index is bit i of a
-    connectivity-table mask)."""
-    order = _colex_order(n)
-    checks = [
-        [
-            subset_edge_indices(n, rest + (u, v))
-            for rest in itertools.combinations(range(u), m - 2)
-        ]
-        for u, v in order
+@lru_cache(maxsize=None)
+def pattern_table(m: int, threshold: int, k: int) -> bytes:
+    """bad[p] = 1 if the coloring of K_m's pairs coded by p has a color
+    class whose connectivity_table(m) entry is >= threshold, else 0.
+    Digit j of p in base k (weight k**j) is the color of the j-th pair in
+    lexicographic order, which is bit j of that color's edge mask.
+
+    Built by rows: p = ph * k**low + pl, and color c's mask is hc | lc,
+    with hc from the high digits ph and lc < 2**low from the low digits pl.
+    Per color, a byte pattern lists lc for every pl; bytes.translate of
+    that pattern through the table window at hc gives color c's row, and
+    the rows of the colors in ph are OR-ed as integers.  A color absent
+    from ph reads the window at 0.  Those rows, OR-ed over all colors once,
+    go into every row: for a color in ph they add nothing, since an entry
+    never drops when edges are added.
+    """
+    npairs = m * (m - 1) // 2
+    table = connectivity_table(m).translate(bytes(x >= threshold for x in range(256)))
+    low = min(8, npairs // 2)  # lc < 2**low must fit a byte
+    size, width = k**low, 1 << low
+    pad = bytes(256 - width)
+    digits = [[pl // k**j % k for j in range(low)] for pl in range(size)]
+    patterns = [
+        bytes(sum(1 << j for j, d in enumerate(ds) if d == c) for ds in digits)
+        for c in range(k)
     ]
-    return order, checks
+    alone = table[:width] + pad
+    any_low = 0
+    for pattern in patterns:
+        any_low |= int.from_bytes(pattern.translate(alone), "little")
+    rows = []
+    for ph in range(k ** (npairs - low)):
+        high, rest = {}, ph
+        for j in range(low, npairs):
+            rest, c = divmod(rest, k)
+            high[c] = high.get(c, 0) | 1 << j
+        row = any_low
+        for c, hc in high.items():
+            window = table[hc:hc + width] + pad
+            row |= int.from_bytes(patterns[c].translate(window), "little")
+        rows.append(row.to_bytes(size, "little"))
+    return b"".join(rows)
 
 
 def _backtrack(n, m, kappa, k, node_budget, prefix=()):
     """Core search; `prefix` pins the colors of the first edges in colex
     order (used to split work across processes).  Returns (kind, colors,
     stats)."""
-    table = connectivity_table(m)
-    threshold = min(kappa, m)
-    order, checks = _completion_checks(n, m)
+    bad = pattern_table(m, min(kappa, m), k)
+    order = _colex_order(n)
     nedges = len(order)
+    # checks[pos]: the m-sets completed at colex position pos, each as its
+    # edge indices from the last lexicographic pair to the first, the order
+    # in which the Horner loop reads them; built when the search first
+    # reaches pos.
+    checks = [None] * nedges
     lex_of = [pair_index(n, u, v) for u, v in order]
-    colors = [-1] * (n * (n - 1) // 2)
+    colors = [-1] * nedges
     stats = SearchStats()
 
     def consistent(pos):
         # Every color, not only the new edge's: a subset completed here can
         # be kappa-connected in a color the new edge does not carry.
-        for idxs in checks[pos]:
-            masks = [0] * k
-            bit = 1
+        sets = checks[pos]
+        if sets is None:
+            u, v = order[pos]
+            sets = checks[pos] = [
+                subset_edge_indices(n, rest + (u, v))[::-1]
+                for rest in itertools.combinations(range(u), m - 2)
+            ]
+        for idxs in sets:
+            p = 0
             for i in idxs:
-                masks[colors[i]] |= bit
-                bit <<= 1
-            for mask in masks:
-                if table[mask] >= threshold:
-                    stats.forbidden_prunes += 1
-                    return False
+                p = p * k + colors[i]
+            if bad[p]:
+                stats.forbidden_prunes += 1
+                return False
         return True
 
     def rec(pos, used):
@@ -289,6 +327,14 @@ def exists_avoiding_coloring(
     """Backtracking search over k-colorings of K_n for one lacking a
     monochromatic kappa-connected m-set.
 
+    Each m-set completed by an assignment is checked by one lookup in
+    pattern_table(m, min(kappa, m), k), indexed by the set's coloring read
+    as a base-k number; the m-sets are listed per edge when the search
+    first reaches that edge.  A search whose table would hold more than
+    PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
+    k >= 4, m=5 with k >= 6, m=4 with k >= 17) raises ValueError before
+    any table or worker pool is built.
+
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
     than one worker, top-level color prefixes are searched in parallel,
@@ -302,6 +348,12 @@ def exists_avoiding_coloring(
     """
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
+    npairs = m * (m - 1) // 2
+    if k**npairs > PATTERN_LIMIT:
+        raise ValueError(
+            f"size limit: the pattern table would hold {k}^{npairs} entries, "
+            f"more than 2^24"
+        )
     start = time.perf_counter()
     nedges = n * (n - 1) // 2
 

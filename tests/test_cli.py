@@ -140,6 +140,50 @@ def test_verify_model_catches_bad_model(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("transcript, code, status", [
+    ("c solver banner\ns SATISFIABLE\nv {lits} 0\n", 0, None),
+    ("c solver banner\ns UNSATISFIABLE\n", 1, "UNSATISFIABLE"),
+    ("s UNKNOWN\n", 1, "UNKNOWN"),
+])
+def test_verify_model_reads_solver_transcripts(tmp_path, capsys, transcript, code, status):
+    from hcramsey.satbridge import to_dimacs
+
+    inst, model = _two_pentagons_model(tmp_path)
+    cnf = tmp_path / "i.cnf"
+    cnf.write_text(to_dimacs(inst))
+    lits = model.read_text().split()[1:-1]
+    model.write_text(transcript.format(lits=" ".join(lits)))
+    got, store = run(tmp_path, "verify-model", str(cnf), str(model))
+    capsys.readouterr()
+    assert got == code
+    (manifest,) = manifests(store)
+    assert manifest["outcome"]["valid"] is (status is None)
+    assert manifest["outcome"].get("solver_status") == status
+
+
+def test_verify_model_names_the_line_of_a_bad_literal(tmp_path, capsys):
+    from hcramsey.satbridge import to_dimacs
+
+    inst, model = _two_pentagons_model(tmp_path)
+    cnf = tmp_path / "i.cnf"
+    cnf.write_text(to_dimacs(inst))
+    model.write_text("c banner\n\ns SATISFIABLE\nv 1 -2\nv 3 x 0\n")
+    code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
+    assert code == 2
+    assert "line 5: bad literal 'x'" in capsys.readouterr().err
+
+
+def test_search_and_number_refuse_a_table_over_the_limit(tmp_path, capsys):
+    code, _ = run(tmp_path, "search", "--n", "8", "--m", "7", "--kappa", "1",
+                  "--colors", "3", "--workers", "2")
+    assert code == 2
+    code, store = run(tmp_path, "number", "--m", "6", "--kappa", "1",
+                      "--colors", "4", "--nmax", "8")
+    assert code == 2
+    assert "2^24" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
     from dataclasses import replace
 

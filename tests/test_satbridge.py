@@ -5,6 +5,7 @@ import pytest
 
 from hcramsey.graphs import EdgeColoring, InputFormatError, connectivity_table
 from hcramsey.satbridge import (
+    NoModel,
     cnf_satisfiable_by_enumeration,
     coloring_to_literals,
     decode_model,
@@ -111,6 +112,31 @@ class TestModelText:
     def test_bad_token(self):
         with pytest.raises(InputFormatError):
             parse_model_text("v one 0")
+
+    def test_comment_lines_are_skipped(self):
+        text = "c solver banner\ns SATISFIABLE\nv 1 -2 0\n"
+        assert parse_model_text(text) == [1, -2]
+
+    def test_minisat_result_file(self):
+        assert parse_model_text("SAT\n1 -2 3 0\n") == [1, -2, 3]
+
+    @pytest.mark.parametrize("text, status, line", [
+        ("s UNSATISFIABLE\n", "UNSATISFIABLE", 1),
+        ("c banner\ns UNKNOWN\n", "UNKNOWN", 2),
+        ("UNSAT\n", "UNSAT", 1),
+    ])
+    def test_no_model_answers(self, text, status, line):
+        with pytest.raises(NoModel, match=f"line {line}: ") as info:
+            parse_model_text(text)
+        assert info.value.status == status
+
+    @pytest.mark.parametrize("text, message", [
+        ("c x\n\nv 1 2\nv 3 x 0\n", "line 4: bad literal 'x'"),
+        ("s MAYBE\n", "line 1: unknown solver answer 'MAYBE'"),
+    ])
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(InputFormatError, match=message):
+            parse_model_text(text)
 
 
 class TestProvenance:

@@ -6,15 +6,18 @@ import random
 import signal
 import threading
 import time
+import tracemalloc
 
 import pytest
 
+import hcramsey.search as search_module
 from hcramsey.colorings import random_coloring
 from hcramsey.graphs import (
     EdgeColoring,
     Graph,
     all_pairs,
     brute_force_kappa,
+    connectivity_table,
     induced_color_graph,
     is_kappa_connected,
     star_masks,
@@ -23,12 +26,14 @@ from hcramsey.search import (
     AVOIDING,
     ENUMERATION_LIMIT,
     EXHAUSTED,
+    PATTERN_LIMIT,
     UNKNOWN,
     SearchOutcome,
     arrow_check,
     enumerate_all_colorings,
     exists_avoiding_coloring,
     minimal_connected_graphs,
+    pattern_table,
     ramsey_number,
 )
 
@@ -319,6 +324,104 @@ def test_pinned_search_counts(params):
     if out.kind == AVOIDING:
         n, m, kappa, k = params
         assert arrow_check(out.coloring, kappa, m) is None
+
+
+def _pattern_value(table, m, k, p):
+    """Largest connectivity_table entry over the color classes of the
+    coloring coded by p: digit j of p in base k is the color of pair j.
+    A color that codes no pair has the empty class, whose entry is 0."""
+    masks = {}
+    for j in range(m * (m - 1) // 2):
+        p, color = divmod(p, k)
+        masks[color] = masks.get(color, 0) | 1 << j
+    return max(table[mask] for mask in masks.values())
+
+
+def _small_pattern_cases():
+    """(m, k) with k^C(m,2) <= 3^10; for m = 2 only k <= 64, since the m = 2
+    tables hold k entries each and k would run to 3^10."""
+    for m in range(2, 8):
+        k = 1
+        while k ** (m * (m - 1) // 2) <= 3**10 and (m > 2 or k <= 64):
+            yield m, k
+            k += 1
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_pattern_table_matches_decoded_masks(m):
+    table = connectivity_table(m)
+    assert table[0] == 0
+    for mm, k in _small_pattern_cases():
+        if mm != m:
+            continue
+        values = [_pattern_value(table, m, k, p) for p in range(k ** (m * (m - 1) // 2))]
+        for kappa in range(1, m + 1):
+            want = bytes(value >= kappa for value in values)
+            assert pattern_table(m, kappa, k) == want, (m, kappa, k)
+
+
+@pytest.mark.parametrize("m, k", [(6, 3), (7, 2)])
+def test_pattern_table_sampled(m, k):
+    table = connectivity_table(m)
+    bad = pattern_table(m, 2, k)
+    assert len(bad) == k ** (m * (m - 1) // 2)
+    rng = random.Random(8 * m + k)
+    for _ in range(2000):
+        p = rng.randrange(len(bad))
+        assert bad[p] == (_pattern_value(table, m, k, p) >= 2), p
+
+
+@pytest.mark.parametrize("m, k", [(7, 3), (6, 4), (5, 6), (4, 17)])
+def test_pattern_limit_refuses_before_building_a_table(monkeypatch, m, k):
+    assert k ** (m * (m - 1) // 2) > PATTERN_LIMIT
+    assert (k - 1) ** (m * (m - 1) // 2) <= PATTERN_LIMIT
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    before = connectivity_table.cache_info(), pattern_table.cache_info()
+    with pytest.raises(ValueError, match="size limit"):
+        exists_avoiding_coloring(m + 1, m, 1, k, workers=2)
+    after = connectivity_table.cache_info(), pattern_table.cache_info()
+    assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
+
+
+def test_pattern_limit_admits_a_table_of_exactly_the_limit(monkeypatch):
+    monkeypatch.setattr(search_module, "PATTERN_LIMIT", 3**6)
+    assert exists_avoiding_coloring(4, 4, 2, 3).kind == AVOIDING
+    with pytest.raises(ValueError, match="size limit"):
+        exists_avoiding_coloring(4, 4, 2, 4)
+
+
+def test_completion_index_is_built_as_the_search_reaches_it():
+    # All C(26, 6) = 230,230 completed m-sets, listed up front, took about
+    # 60 MB; an 11-node search reaches only the first few edges.
+    tracemalloc.start()
+    try:
+        out = exists_avoiding_coloring(26, 6, 1, 2, node_budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.stats.nodes) == (UNKNOWN, 11)
+    assert peak < 2_000_000
+
+
+def test_panel_counts_digest():
+    # (kind, nodes, prunes, coloring) of every n searched by these
+    # ramsey_number calls, pinned from the search that checked each m-set
+    # by one connectivity-table lookup per color: a change to how m-sets
+    # are checked must keep it byte-identical.
+    h = hashlib.sha256()
+    for m, kappa, k, n_max, budget in [
+        (3, 3, 2, 6, None), (5, 2, 2, 9, None), (6, 1, 2, 8, None), (3, 2, 3, 14, 3_000),
+    ]:
+        result = ramsey_number(m, kappa, k, n_max, node_budget=budget)
+        for n, o in sorted(result.outcomes.items()):
+            colors = None if o.coloring is None else o.coloring.colors
+            row = (m, kappa, k, n, o.kind, o.stats.nodes, o.stats.forbidden_prunes, colors)
+            h.update(repr(row).encode())
+    assert h.hexdigest()[:16] == "65ab8300a6cde6e9"
 
 
 class TestRamseyNumber:
