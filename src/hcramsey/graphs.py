@@ -10,7 +10,7 @@ kappa-connected for every kappa.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -92,24 +92,33 @@ def star_masks(n: int) -> list[int]:
     return [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1."""
 
     n: int
     edges: frozenset
+    mask: int = field(init=False, compare=False, repr=False)  # bit i: i-th lex pair
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("negative vertex count")
         object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
+        mask = 0
         for u, v in self.edges:
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+            mask |= 1 << pair_index(self.n, u, v)  # raises unless 0 <= u < v < n
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
         return cls(n, frozenset(pair_key(u, v) for u, v in edges))
+
+    @classmethod
+    def from_mask(cls, n, mask) -> "Graph":
+        """The graph on n vertices whose edges are the set bits of mask."""
+        if not 0 <= mask < 1 << n * (n - 1) // 2:
+            raise ValueError(f"bad edge mask {mask} for n={n}")
+        return cls(n, frozenset(p for i, p in enumerate(all_pairs(n)) if mask >> i & 1))
 
     @classmethod
     def complete(cls, n) -> "Graph":
@@ -124,9 +133,6 @@ class Graph:
         if n < 3:
             raise ValueError("cycle needs at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-    def has_edge(self, u, v) -> bool:
-        return pair_key(u, v) in self.edges
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -180,10 +186,7 @@ class EdgeColoring:
 
     def color_class(self, xi) -> Graph:
         """The graph on all n vertices whose edges carry color xi."""
-        return Graph(
-            self.n,
-            frozenset(p for p, c in zip(all_pairs(self.n), self.colors) if c == xi),
-        )
+        return Graph.from_mask(self.n, sum(1 << i for i, c in enumerate(self.colors) if c == xi))
 
 
 class InducedSubgraph(NamedTuple):
@@ -201,15 +204,15 @@ def is_connected(g: Graph) -> bool:
     return _mask_component(_adj_masks(g), full) == full
 
 
-def _max_disjoint_paths(g: Graph, s: int, t: int):
+def _max_disjoint_paths(arcs: list[int], s: int, t: int):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
 
     Unit-capacity flow on the vertex-split digraph (vin(v) = 2v,
-    vout(v) = 2v+1); returns (value, paths, separator) where paths are
-    vertex tuples and the separator is a minimum vertex cut disjoint
-    from {s, t}.
+    vout(v) = 2v+1), whose arcs out of node a are the bitmask arcs[a];
+    returns (value, paths, separator) where paths are vertex tuples and
+    the separator is a minimum vertex cut disjoint from {s, t}.
     """
-    n = g.n
+    n = len(arcs) // 2
     # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
     # vin(v) has one unit out, s and t are nonadjacent and nothing enters
     # vout(t), so an edge arc carries 0 or 1 unit: its forward residual
@@ -217,13 +220,8 @@ def _max_disjoint_paths(g: Graph, s: int, t: int):
     # augmenting step a->b therefore flips a vertex arc (a>>1 == b>>1),
     # opens b->a on a forward edge arc (a odd) and closes a->b on a
     # reverse edge arc (a even).
-    res = [0] * (2 * n)
-    for v in range(n):
-        if v != s and v != t:
-            res[2 * v] = 2 << 2 * v
-    for u, v in g.edges:
-        res[2 * u + 1] |= 1 << 2 * v
-        res[2 * v + 1] |= 1 << 2 * u
+    res = arcs.copy()
+    res[2 * s] = res[2 * t] = 0
     src, snk = 2 * s + 1, 2 * t
     parent = [0] * (2 * n)
     while True:
@@ -284,17 +282,23 @@ def _max_disjoint_paths(g: Graph, s: int, t: int):
 
 
 @lru_cache(maxsize=CERTIFICATE_CACHE_SIZE)
-def _connectivity_certificate(g: Graph):
-    """(kappa, pair, paths, separator) for an incomplete graph on >= 2
-    vertices; the minimizing nonadjacent pair is the lexicographically
-    least one."""
+def _connectivity_certificate(n: int, mask: int):
+    """(kappa, pair, paths, separator) for the incomplete graph on n >= 2
+    vertices with edge mask `mask`; the minimizing nonadjacent pair (a zero
+    bit of mask) is the lexicographically least one."""
+    pairs = all_pairs(n)
+    # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
+    arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
+    for i, (u, v) in enumerate(pairs):
+        if mask >> i & 1:
+            arcs[2 * u + 1] |= 1 << 2 * v
+            arcs[2 * v + 1] |= 1 << 2 * u
     best = None
-    for s, t in all_pairs(g.n):
-        if g.has_edge(s, t):
-            continue
-        value, paths, separator = _max_disjoint_paths(g, s, t)
-        if best is None or value < best[0]:
-            best = (value, (s, t), paths, separator)
+    for i, (s, t) in enumerate(pairs):
+        if not mask >> i & 1:
+            value, paths, separator = _max_disjoint_paths(arcs, s, t)
+            if best is None or value < best[0]:
+                best = (value, (s, t), paths, separator)
     assert best is not None
     return best
 
@@ -306,19 +310,21 @@ def vertex_connectivity(g: Graph) -> int:
         raise ValueError("empty graph")
     if g.is_complete():
         return g.n - 1
-    return _connectivity_certificate(g)[0]
+    return _connectivity_certificate(g.n, g.mask)[0]
 
 
 def is_kappa_connected(g: Graph, kappa: int):
-    """Deletion-semantics kappa-connectivity with a certificate.
+    """Deletion-semantics kappa-connectivity with a certificate."""
+    return is_kappa_connected_mask(g.n, g.mask, kappa)
 
-    Returns (answer, verdict).  Complete graphs (and n <= 1) are
-    kappa-connected for every kappa; otherwise the answer is
-    vertex_connectivity(g) >= kappa.
-    """
-    if g.n <= 1 or g.is_complete():
+
+def is_kappa_connected_mask(n: int, mask: int, kappa: int):
+    """(answer, verdict) for the graph on n vertices with edge mask `mask`.
+    Complete graphs (and n <= 1) are kappa-connected for every kappa;
+    otherwise the answer is vertex_connectivity >= kappa."""
+    if mask == (1 << n * (n - 1) // 2) - 1:
         return True, ConnectivityVerdict(CONNECTED)
-    value, pair, paths, separator = _connectivity_certificate(g)
+    value, pair, paths, separator = _connectivity_certificate(n, mask)
     if value >= kappa:
         return True, ConnectivityVerdict(CONNECTED, pair=pair, paths=paths)
     return False, ConnectivityVerdict(SEPARATED, pair=pair, separator=separator)
@@ -435,7 +441,7 @@ def connectivity_table(m: int) -> bytes:
     chunk gives the window's start.
     """
     if m > TABLE_VERTEX_LIMIT:
-        raise ValueError("enumeration size limit")
+        raise ValueError(f"enumeration size limit: tables cover m <= {TABLE_VERTEX_LIMIT}")
     if m <= 1:
         return bytes([m])
     raised = connectivity_table(m - 1).translate(_PLUS_ONE)
@@ -489,12 +495,9 @@ def induced_color_graph(c: EdgeColoring, xi: int, vertices) -> InducedSubgraph:
         raise ValueError(f"vertex set {labels} out of range for n={c.n}")
     if not 0 <= xi < c.k:
         raise ValueError(f"color {xi} out of range for k={c.k}")
-    edges = frozenset(
-        pair
-        for pair, e in zip(all_pairs(len(labels)), subset_edge_indices(c.n, labels))
-        if c.colors[e] == xi
-    )
-    return InducedSubgraph(Graph(len(labels), edges), labels)
+    edges = subset_edge_indices(c.n, labels)
+    mask = sum(1 << i for i, e in enumerate(edges) if c.colors[e] == xi)
+    return InducedSubgraph(Graph.from_mask(len(labels), mask), labels)
 
 
 # ---------------------------------------------------------------------------

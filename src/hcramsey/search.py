@@ -10,12 +10,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .graphs import (
+    TABLE_VERTEX_LIMIT,
     ConnectivityVerdict,
     EdgeColoring,
     all_pairs,
     connectivity_table,
-    induced_color_graph,
-    is_kappa_connected,
+    is_kappa_connected_mask,
     pair_index,
     star_masks,
     subset_edge_indices,
@@ -148,15 +148,12 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
         stars = star_masks(size)
         for subset in itertools.combinations(range(c.n), size):
             masks = [0] * c.k
-            bit = 1
-            for e in subset_edge_indices(c.n, subset):
-                masks[c.colors[e]] |= bit
-                bit <<= 1
+            for i, e in enumerate(subset_edge_indices(c.n, subset)):
+                masks[c.colors[e]] |= 1 << i
             for xi, mask in enumerate(masks):
                 if any((mask & star).bit_count() < need for star in stars):
                     continue
-                induced = induced_color_graph(c, xi, subset)
-                ok, verdict = is_kappa_connected(induced.graph, kappa)
+                ok, verdict = is_kappa_connected_mask(size, mask, kappa)
                 if ok:
                     return ArrowWitness(xi, subset, verdict)
     return None
@@ -282,18 +279,15 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=()):
     return kind, None, stats
 
 
-def _valid_prefixes(k: int, depth: int, nedges: int):
-    """Color prefixes of the given depth respecting first-use symmetry
-    breaking (color j appears only after every color < j has)."""
-    depth = min(depth, nedges)
+def _prefixes(k: int, workers: int, nedges: int):
+    """Color prefixes respecting first-use symmetry breaking (color j
+    appears only after every color < j has), one edge deeper at a time
+    until there are at least `workers` of them or they cover every edge."""
     prefixes = [()]
-    for _ in range(depth):
-        nxt = []
-        for p in prefixes:
-            used = max(p) + 1 if p else 0
-            for col in range(min(used + 1, k)):
-                nxt.append(p + (col,))
-        prefixes = nxt
+    for _ in range(nedges):
+        prefixes = [p + (c,) for p in prefixes for c in range(min(max(p, default=-1) + 2, k))]
+        if len(prefixes) >= workers:
+            break
     return prefixes
 
 
@@ -332,8 +326,8 @@ def exists_avoiding_coloring(
     as a base-k number; the m-sets are listed per edge when the search
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
-    k >= 4, m=5 with k >= 6, m=4 with k >= 17) raises ValueError before
-    any table or worker pool is built.
+    k >= 4, m=5 with k >= 6, m=4 with k >= 17), or with m > 7, raises
+    ValueError before any table or worker pool is built.
 
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
@@ -344,10 +338,12 @@ def exists_avoiding_coloring(
     the prefixes up to and including that one.  Budgeted, each prefix gets
     node_budget // len(prefixes) nodes, so the kind can depend on the
     worker count: (9, 4, 2, 3) with node_budget=3000 is unknown serially
-    and avoiding with 2 workers.
+    after 3,001 nodes and avoiding with 2 workers after 2,190.
     """
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
+    if m > TABLE_VERTEX_LIMIT:
+        raise ValueError(f"size limit: connectivity tables cover m <= {TABLE_VERTEX_LIMIT}")
     npairs = m * (m - 1) // 2
     if k**npairs > PATTERN_LIMIT:
         raise ValueError(
@@ -363,17 +359,16 @@ def exists_avoiding_coloring(
         coloring = EdgeColoring(n, k, colors) if colors is not None else None
         return SearchOutcome(n, m, kappa, k, kind, coloring, stats, 1)
 
-    depth = 1
-    while len(_valid_prefixes(k, depth, nedges)) < workers and depth < nedges:
-        depth += 1
-    prefixes = _valid_prefixes(k, depth, nedges)
+    prefixes = _prefixes(k, workers, nedges)
     share = None if node_budget is None else max(1, node_budget // len(prefixes))
     args = [(n, m, kappa, k, share, p) for p in prefixes]
     total = SearchStats()
     best_kind, best_colors = EXHAUSTED, None
     # imap yields in prefix order, which is the serial DFS order, so the
     # first avoiding prefix holds the serial search's coloring; leaving the
-    # with block terminates the workers still searching later prefixes.
+    # with block terminates the workers still searching later prefixes,
+    # which fork from a parent that holds the pattern table.
+    pattern_table(m, min(kappa, m), k)
     before = set(multiprocessing.active_children())
     with multiprocessing.Pool(workers) as pool:
         procs = set(multiprocessing.active_children()) - before

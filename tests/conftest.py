@@ -6,16 +6,10 @@ from hypothesis import strategies as st
 from hcramsey.graphs import EdgeColoring, Graph, all_pairs
 
 
-def graph_of_mask(n, mask) -> Graph:
-    """The graph on n vertices whose edges are the set bits of mask, bit i
-    being the i-th pair in lexicographic order."""
-    return Graph(n, frozenset(p for i, p in enumerate(all_pairs(n)) if mask >> i & 1))
-
-
 def graphs_on(n):
     """Every labeled graph on n vertices, in mask order."""
     for mask in range(1 << n * (n - 1) // 2):
-        yield graph_of_mask(n, mask)
+        yield Graph.from_mask(n, mask)
 
 
 def random_graph(n, rng: random.Random, p=0.5) -> Graph:
@@ -30,7 +24,7 @@ def mask_strategy(draw, min_n=0, max_n=7):
 
 
 def graph_strategy(min_n=0, max_n=7):
-    return mask_strategy(min_n, max_n).map(lambda nm: graph_of_mask(*nm))
+    return mask_strategy(min_n, max_n).map(lambda nm: Graph.from_mask(*nm))
 
 
 @st.composite

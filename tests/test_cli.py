@@ -184,6 +184,18 @@ def test_search_and_number_refuse_a_table_over_the_limit(tmp_path, capsys):
     assert not store.exists()
 
 
+def test_search_refuses_m_above_the_table_limit(tmp_path, capsys):
+    # One color passes the pattern limit; the refusal names the m limit,
+    # not the coloring-enumeration guard.
+    code, store = run(tmp_path, "search", "--n", "8", "--m", "8", "--kappa", "1",
+                      "--colors", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "connectivity tables cover m <= 7" in err
+    assert "enumeration" not in err
+    assert not store.exists()
+
+
 def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
     from dataclasses import replace
 

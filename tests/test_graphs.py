@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -10,6 +11,7 @@ from hcramsey.graphs import (
     EdgeColoring,
     Graph,
     InputFormatError,
+    all_pairs,
     brute_force_kappa,
     connectivity_table,
     format_graph_text,
@@ -25,12 +27,41 @@ from hcramsey.graphs import (
 )
 
 from conftest import (
-    graph_of_mask,
     graph_strategy,
     graphs_on,
     mask_strategy,
     random_graph,
 )
+
+
+class TestEdgeMask:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_graph_has_its_lex_mask_and_round_trips(self, n):
+        # Graphs built from edge sets, by size, not from masks: bit i of the
+        # mask is set exactly when the i-th lexicographic pair is an edge.
+        pairs = all_pairs(n)
+        masks = set()
+        for size in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, size):
+                g = Graph(n, frozenset(edges))
+                assert [g.mask >> i & 1 for i in range(len(pairs))] == [
+                    p in g.edges for p in pairs
+                ]
+                assert g.mask >> len(pairs) == 0
+                assert Graph.from_mask(n, g.mask) == g
+                masks.add(g.mask)
+        assert len(masks) == 1 << len(pairs)
+
+    def test_mask_is_not_compared_or_shown(self):
+        g = Graph.path(3)
+        assert repr(g) == f"Graph(n=3, edges={g.edges!r})"
+        assert g == Graph(3, frozenset({(1, 2), (0, 1)}))
+
+    def test_from_mask_rejects_bits_beyond_the_pairs(self):
+        with pytest.raises(ValueError, match="bad edge mask"):
+            Graph.from_mask(3, 1 << 3)
+        with pytest.raises(ValueError, match="bad edge mask"):
+            Graph.from_mask(3, -1)
 
 
 class TestIsConnected:
@@ -211,14 +242,14 @@ class TestCertificates:
         assert len(graphs) == 1290
         h = hashlib.sha256()
         for g in graphs:
-            value, pair, paths, separator = _connectivity_certificate(g)
+            value, pair, paths, separator = _connectivity_certificate(g.n, g.mask)
             h.update(repr((value, pair, paths, tuple(sorted(separator)))).encode())
         assert h.hexdigest()[:12] == "9371c408799f"
 
     def test_cache_is_bounded(self):
         graphs = (g for g in graphs_on(6) if not g.is_complete())
         for _, g in zip(range(CERTIFICATE_CACHE_SIZE + 100), graphs):
-            vertex_connectivity(g)
+            _connectivity_certificate(g.n, g.mask)
         info = _connectivity_certificate.cache_info()
         assert info.maxsize == CERTIFICATE_CACHE_SIZE
         assert info.currsize == CERTIFICATE_CACHE_SIZE
@@ -245,7 +276,7 @@ def test_verdict_certificates(g):
             for path in verdict.paths:
                 assert path[0] == s and path[-1] == t
                 for a, b in zip(path, path[1:]):
-                    assert g.has_edge(a, b)
+                    assert (min(a, b), max(a, b)) in g.edges
                 internal.append(set(path[1:-1]))
             for i, a in enumerate(internal):
                 for b in internal[i + 1:]:
@@ -268,7 +299,7 @@ def test_verdict_certificates(g):
 @settings(max_examples=150, deadline=None)
 def test_min_degree_bound(n_mask):
     n, mask = n_mask
-    g = graph_of_mask(n, mask)
+    g = Graph.from_mask(n, mask)
     if g.is_complete():
         return
     kappa = vertex_connectivity(g)

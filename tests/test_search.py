@@ -37,7 +37,7 @@ from hcramsey.search import (
     ramsey_number,
 )
 
-from conftest import graph_of_mask, graphs_on, two_pentagons_coloring
+from conftest import graphs_on, two_pentagons_coloring
 
 
 def spans_member(fl, mask):
@@ -49,7 +49,7 @@ def spans_member(fl, mask):
 class TestMinimalConnectedGraphs:
     def test_3_2_is_triangle(self):
         fl = minimal_connected_graphs(3, 2)
-        assert [graph_of_mask(3, fm) for fm in fl.masks] == [Graph.complete(3)]
+        assert [Graph.from_mask(3, fm) for fm in fl.masks] == [Graph.complete(3)]
 
     def test_4_2_is_the_three_labeled_4cycles(self):
         fl = minimal_connected_graphs(4, 2)
@@ -66,7 +66,7 @@ class TestMinimalConnectedGraphs:
     def test_kappa_equals_m_gives_complete(self):
         for m in (3, 4, 5):
             fl = minimal_connected_graphs(m, m)
-            assert [graph_of_mask(m, fm) for fm in fl.masks] == [Graph.complete(m)]
+            assert [Graph.from_mask(m, fm) for fm in fl.masks] == [Graph.complete(m)]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_spanning_trees_are_cayley_counted(self, m):
@@ -91,18 +91,18 @@ class TestMinimalConnectedGraphs:
         for kappa in range(1, 7):
             fl = minimal_connected_graphs(6, kappa)
             for mask in masks:
-                g = graph_of_mask(6, mask)
+                g = Graph.from_mask(6, mask)
                 assert spans_member(fl, mask) == is_kappa_connected(g, kappa)[0]
 
     def test_members_are_minimal(self):
         fl = minimal_connected_graphs(5, 2)
         for fm in fl.masks:
-            assert is_kappa_connected(graph_of_mask(5, fm), 2)[0]
+            assert is_kappa_connected(Graph.from_mask(5, fm), 2)[0]
             rest = fm
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                assert not is_kappa_connected(graph_of_mask(5, fm ^ bit), 2)[0]
+                assert not is_kappa_connected(Graph.from_mask(5, fm ^ bit), 2)[0]
 
 
 class TestArrowCheck:
@@ -257,6 +257,22 @@ class TestExistsAvoidingColoring:
             if pinned is not None:
                 assert counts[0] == pinned
 
+    def test_budget_split_depends_on_the_worker_count(self):
+        # The case the README and the exists_avoiding_coloring docstring
+        # quote: each of the two prefixes gets 1,500 of the 3,000 nodes.
+        serial = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000)
+        par = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000, workers=2)
+        assert (serial.kind, serial.stats.nodes) == (UNKNOWN, 3001)
+        assert (par.kind, par.stats.nodes) == (AVOIDING, 2190)
+        assert arrow_check(par.coloring, 2, 4) is None
+
+    def test_parallel_search_builds_the_pattern_table_in_the_parent(self):
+        # Workers forked from a parent without the table would each build
+        # their own.
+        pattern_table.cache_clear()
+        exists_avoiding_coloring(6, 3, 3, 2, workers=2)
+        assert pattern_table.cache_info().currsize == 1
+
     def test_parallel_search_raises_when_a_worker_dies(self):
         killed = []
 
@@ -371,20 +387,32 @@ def test_pattern_table_sampled(m, k):
         assert bad[p] == (_pattern_value(table, m, k, p) >= 2), p
 
 
-@pytest.mark.parametrize("m, k", [(7, 3), (6, 4), (5, 6), (4, 17)])
-def test_pattern_limit_refuses_before_building_a_table(monkeypatch, m, k):
-    assert k ** (m * (m - 1) // 2) > PATTERN_LIMIT
-    assert (k - 1) ** (m * (m - 1) // 2) <= PATTERN_LIMIT
-
+def _refused_before_any_table(monkeypatch, match, *args, **kwargs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     before = connectivity_table.cache_info(), pattern_table.cache_info()
-    with pytest.raises(ValueError, match="size limit"):
-        exists_avoiding_coloring(m + 1, m, 1, k, workers=2)
+    with pytest.raises(ValueError, match=match):
+        exists_avoiding_coloring(*args, **kwargs)
     after = connectivity_table.cache_info(), pattern_table.cache_info()
     assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
+
+
+@pytest.mark.parametrize("m, k", [(7, 3), (6, 4), (5, 6), (4, 17)])
+def test_pattern_limit_refuses_before_building_a_table(monkeypatch, m, k):
+    assert k ** (m * (m - 1) // 2) > PATTERN_LIMIT
+    assert (k - 1) ** (m * (m - 1) // 2) <= PATTERN_LIMIT
+    _refused_before_any_table(monkeypatch, "size limit", m + 1, m, 1, k, workers=2)
+
+
+def test_m_above_the_table_limit_refuses_before_building_a_table(monkeypatch):
+    # One color gives a one-entry pattern table, within PATTERN_LIMIT, but
+    # no connectivity table covers m = 8.
+    _refused_before_any_table(
+        monkeypatch, "size limit: connectivity tables cover m <= 7",
+        9, 8, 1, 1, workers=2,
+    )
 
 
 def test_pattern_limit_admits_a_table_of_exactly_the_limit(monkeypatch):
