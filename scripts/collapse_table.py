@@ -4,7 +4,11 @@
 For each (m, kappa, k) the script searches n = m, m+1, ..., n_max for the
 least n at which no avoiding coloring exists, and prints one row per
 parameter point together with the search effort.  Points that stay open up
-to n_max are reported as "> n_max".
+to n_max are reported as "> n_max".  The `last_n_nodes` column is the node
+count of the last n searched, the one that decided the row: exhausted,
+unknown, or n_max when open.  A serial run is one search over K_n_max that
+reads off each smaller n on the way, so that count is every node the row's
+search visited; the smaller n's counts are prefixes of it and are not added.
 
 Typical run:
 
@@ -17,7 +21,7 @@ import time
 from hcramsey.search import ramsey_number
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-m", type=int, default=3)
     ap.add_argument("--max-kappa", type=int, default=3)
@@ -26,9 +30,9 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--budget", type=int, default=None,
                     help="node budget per search; exceeded points print '?'")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    print(f"{'m':>3} {'kappa':>5} {'k':>3} {'value':>7} {'nodes':>10} {'time':>8}")
+    print(f"{'m':>3} {'kappa':>5} {'k':>3} {'value':>7} {'last_n_nodes':>12} {'time':>8}")
     for m in range(2, args.max_m + 1):
         for kappa in range(1, args.max_kappa + 1):
             if kappa > m:
@@ -39,7 +43,7 @@ def main() -> None:
                 node_budget=args.budget, workers=args.workers,
             )
             elapsed = time.perf_counter() - start
-            nodes = sum(o.stats.nodes for o in result.outcomes.values())
+            nodes = result.outcomes[max(result.outcomes)].stats.nodes
             if result.status == "determined":
                 value = str(result.value)
             elif result.status == "open":
@@ -47,7 +51,7 @@ def main() -> None:
             else:
                 value = "?"
             print(f"{m:>3} {kappa:>5} {args.colors:>3} {value:>7} "
-                  f"{nodes:>10} {elapsed:>7.2f}s")
+                  f"{nodes:>12} {elapsed:>7.2f}s")
 
 
 if __name__ == "__main__":

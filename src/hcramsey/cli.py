@@ -318,7 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("number", help="finite connected Ramsey number",
                        description="Least n whose every coloring has a monochromatic "
-                       "kappa-connected m-set, by search: " + SEARCH_HELP + ".")
+                       "kappa-connected m-set, by one search over K_nmax that reads off "
+                       "each n when it first colors all of K_n; each n's node and prune "
+                       "counts are those of a search of K_n alone, and its wall_time "
+                       "runs from the start of the search to that n's decision (with "
+                       "--workers > 1, one search per n): " + SEARCH_HELP + ".")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)

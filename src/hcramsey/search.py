@@ -16,7 +16,6 @@ from .graphs import (
     all_pairs,
     connectivity_table,
     is_kappa_connected_mask,
-    pair_index,
     star_masks,
     subset_edge_indices,
 )
@@ -163,14 +162,11 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
 # Backtracking search for avoiding colorings
 
 
-class _Budget(Exception):
-    pass
-
-
 def _colex_order(n: int):
-    """Edge assignment order: pairs sorted by (max, min).  With this order
-    the m-sets completed by assigning (u, v) are exactly {v} together with
-    m-1 vertices from {0..u} including u."""
+    """Edge assignment order: pairs sorted by (max, min), so (u, v) sits at
+    position v(v-1)/2 + u and the first C(j,2) positions are the edges of
+    K_j.  The m-sets completed by assigning (u, v) are exactly {v} together
+    with m-1 vertices from {0..u} including u."""
     return sorted(all_pairs(n), key=lambda p: (p[1], p[0]))
 
 
@@ -218,65 +214,101 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
     return b"".join(rows)
 
 
-def _backtrack(n, m, kappa, k, node_budget, prefix=()):
-    """Core search; `prefix` pins the colors of the first edges in colex
-    order (used to split work across processes).  Returns (kind, colors,
-    stats)."""
+def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
+    """Depth-first search over the k-colorings of K_n, one colex position
+    per step of a loop; `prefix` pins the colors of the first positions
+    (used to split work across processes).
+
+    The first C(j,2) positions are the edges of K_j and complete exactly
+    K_j's m-sets, so until the loop first reaches position C(j,2) it visits
+    the nodes, in the order, that a search of K_j alone would visit.  For
+    each j from `start` (default n) up to n it therefore reads off K_j's
+    outcome: avoiding when the loop first reaches C(j,2), else exhausted
+    when the loop ends or unknown when the node budget runs out.  Returns
+    one (kind, colors, stats) per j from start, ending at n or at the first
+    j that is not avoiding; colors is K_j's coloring in lexicographic pair
+    order (None unless avoiding), and stats.wall_time is the time from the
+    call to that j's decision.
+    """
+    t0 = time.perf_counter()
+    j = n if start is None else start
     bad = pattern_table(m, min(kappa, m), k)
     order = _colex_order(n)
     nedges = len(order)
-    # checks[pos]: the m-sets completed at colex position pos, each as its
-    # edge indices from the last lexicographic pair to the first, the order
-    # in which the Horner loop reads them; built when the search first
-    # reaches pos.
+    budget = float("inf") if node_budget is None else node_budget
+    plen = len(prefix)
+    # checks[pos]: the m-sets completed at position pos, each as the colex
+    # positions of its pairs from the last lexicographic pair to the first,
+    # the order in which the Horner loop reads them; built when the search
+    # first reaches pos.
     checks = [None] * nedges
-    lex_of = [pair_index(n, u, v) for u, v in order]
-    colors = [-1] * nedges
-    stats = SearchStats()
-
-    def consistent(pos):
-        # Every color, not only the new edge's: a subset completed here can
-        # be kappa-connected in a color the new edge does not carry.
+    colors = [0] * nedges  # by colex position
+    nxt = [0] * nedges  # next color to try at each position
+    lim = [0] * nedges  # one past the last color to try
+    used = [0] * nedges  # colors used before each position
+    outcomes = []
+    nodes = prunes = pos = 0
+    goal = j * (j - 1) // 2
+    while goal == 0:  # K_0 and K_1 have no edges
+        outcomes.append(_avoiding(j, colors, nodes, prunes, t0))
+        if j == n:
+            return outcomes
+        j += 1
+        goal = j * (j - 1) // 2
+    nxt[0], lim[0] = (prefix[0], prefix[0] + 1) if plen else (0, 1)
+    while True:
+        col = nxt[pos]
+        if col == lim[pos]:
+            if pos == 0:
+                kind = EXHAUSTED
+                break
+            pos -= 1
+            continue
+        nxt[pos] = col + 1
+        nodes += 1
+        if nodes > budget:
+            kind = UNKNOWN
+            break
+        colors[pos] = col
         sets = checks[pos]
         if sets is None:
             u, v = order[pos]
             sets = checks[pos] = [
-                subset_edge_indices(n, rest + (u, v))[::-1]
+                [b * (b - 1) // 2 + a
+                 for a, b in itertools.combinations(rest + (u, v), 2)][::-1]
                 for rest in itertools.combinations(range(u), m - 2)
             ]
+        # Every color, not only the new edge's: a subset completed here can
+        # be kappa-connected in a color the new edge does not carry.
         for idxs in sets:
             p = 0
             for i in idxs:
                 p = p * k + colors[i]
             if bad[p]:
-                stats.forbidden_prunes += 1
-                return False
-        return True
-
-    def rec(pos, used):
-        if pos == nedges:
-            return True
-        if pos < len(prefix):
-            choices = [prefix[pos]]
+                prunes += 1
+                break
         else:
-            choices = range(min(used + 1, k))
-        for col in choices:
-            stats.nodes += 1
-            if node_budget is not None and stats.nodes > node_budget:
-                raise _Budget
-            colors[lex_of[pos]] = col
-            if consistent(pos) and rec(pos + 1, max(used, col + 1)):
-                return True
-            colors[lex_of[pos]] = -1
-        return False
+            pos += 1
+            if pos == goal:
+                outcomes.append(_avoiding(j, colors, nodes, prunes, t0))
+                if j == n:
+                    return outcomes
+                j += 1
+                goal = j * (j - 1) // 2
+            used[pos] = seen = max(used[pos - 1], col + 1)
+            if pos < plen:
+                nxt[pos], lim[pos] = prefix[pos], prefix[pos] + 1
+            else:
+                nxt[pos], lim[pos] = 0, min(seen + 1, k)
+    outcomes.append((kind, None, SearchStats(nodes, prunes, time.perf_counter() - t0)))
+    return outcomes
 
-    try:
-        kind = AVOIDING if rec(0, 0) else EXHAUSTED
-    except _Budget:
-        kind = UNKNOWN
-    if kind == AVOIDING:
-        return kind, tuple(colors), stats
-    return kind, None, stats
+
+def _avoiding(j, colors, nodes, prunes, t0):
+    """K_j's avoiding outcome, read off the colex colors of a search that
+    has just colored K_j's edges."""
+    coloring = tuple(colors[v * (v - 1) // 2 + u] for u, v in all_pairs(j))
+    return AVOIDING, coloring, SearchStats(nodes, prunes, time.perf_counter() - t0)
 
 
 def _prefixes(k: int, workers: int, nedges: int):
@@ -292,7 +324,29 @@ def _prefixes(k: int, workers: int, nedges: int):
 
 
 def _worker(args):
-    return _backtrack(*args)
+    return _backtrack(*args)[0]
+
+
+def _check_search_args(n, m, kappa, k):
+    """The argument checks shared by exists_avoiding_coloring and
+    ramsey_number, made before any table is built."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if m < 2 or kappa < 1 or k < 1:
+        raise ValueError("need m >= 2, kappa >= 1, k >= 1")
+    if m > TABLE_VERTEX_LIMIT:
+        raise ValueError(f"size limit: connectivity tables cover m <= {TABLE_VERTEX_LIMIT}")
+    npairs = m * (m - 1) // 2
+    if k**npairs > PATTERN_LIMIT:
+        raise ValueError(
+            f"size limit: the pattern table would hold {k}^{npairs} entries, "
+            f"more than 2^24"
+        )
+
+
+def _outcome(n, m, kappa, k, kind, colors, stats, workers):
+    coloring = EdgeColoring(n, k, colors) if colors is not None else None
+    return SearchOutcome(n, m, kappa, k, kind, coloring, stats, workers)
 
 
 def _next_result(results, procs):
@@ -326,8 +380,9 @@ def exists_avoiding_coloring(
     as a base-k number; the m-sets are listed per edge when the search
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
-    k >= 4, m=5 with k >= 6, m=4 with k >= 17), or with m > 7, raises
-    ValueError before any table or worker pool is built.
+    k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, or with
+    n < 0 raises ValueError before any table or worker pool is built; for
+    n <= 1 there is no edge to color, and K_n is avoiding after 0 nodes.
 
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
@@ -340,24 +395,13 @@ def exists_avoiding_coloring(
     worker count: (9, 4, 2, 3) with node_budget=3000 is unknown serially
     after 3,001 nodes and avoiding with 2 workers after 2,190.
     """
-    if m < 2 or kappa < 1 or k < 1:
-        raise ValueError("need m >= 2, kappa >= 1, k >= 1")
-    if m > TABLE_VERTEX_LIMIT:
-        raise ValueError(f"size limit: connectivity tables cover m <= {TABLE_VERTEX_LIMIT}")
-    npairs = m * (m - 1) // 2
-    if k**npairs > PATTERN_LIMIT:
-        raise ValueError(
-            f"size limit: the pattern table would hold {k}^{npairs} entries, "
-            f"more than 2^24"
-        )
+    _check_search_args(n, m, kappa, k)
     start = time.perf_counter()
     nedges = n * (n - 1) // 2
 
     if workers <= 1 or nedges < 3:
-        kind, colors, stats = _backtrack(n, m, kappa, k, node_budget)
-        stats.wall_time = time.perf_counter() - start
-        coloring = EdgeColoring(n, k, colors) if colors is not None else None
-        return SearchOutcome(n, m, kappa, k, kind, coloring, stats, 1)
+        [(kind, colors, stats)] = _backtrack(n, m, kappa, k, node_budget)
+        return _outcome(n, m, kappa, k, kind, colors, stats, 1)
 
     prefixes = _prefixes(k, workers, nedges)
     share = None if node_budget is None else max(1, node_budget // len(prefixes))
@@ -383,8 +427,7 @@ def exists_avoiding_coloring(
             if kind == UNKNOWN:
                 best_kind = UNKNOWN
     total.wall_time = time.perf_counter() - start
-    coloring = EdgeColoring(n, k, best_colors) if best_colors is not None else None
-    return SearchOutcome(n, m, kappa, k, best_kind, coloring, total, workers)
+    return _outcome(n, m, kappa, k, best_kind, best_colors, total, workers)
 
 
 @dataclass
@@ -419,19 +462,47 @@ def ramsey_number(
     """Least n <= n_max such that every k-coloring of K_n has a
     monochromatic kappa-connected m-set, with per-n search outcomes;
     status "open" means every n <= n_max still admits an avoiding
-    coloring."""
+    coloring.
+
+    Serially this is one search over K_n_max (see _backtrack): n's outcome
+    is read off when that search first colors all of K_n, and the smallest
+    n it never completes is exhausted, or unknown if the node budget runs
+    out first.  Each n's kind, coloring, node and prune counts equal those
+    of exists_avoiding_coloring(n, ...) run alone, under the same budget;
+    the nodes of smaller n are counted again in each larger n, as a search
+    of that n alone visits them too.  Each n's stats.wall_time is the time
+    from the start of the search to that n's decision, so it never
+    decreases with n.
+
+    With workers > 1 each n is a separate parallel search.  One search per
+    n is kept there because each n's prefix split stops at its own first
+    avoiding prefix, and one sweep per prefix would have to run every
+    later prefix without a bound.
+    """
     if n_max < m:
         raise ValueError("need n_max >= m")
-    outcomes = {}
-    for n in range(m, n_max + 1):
-        outcome = exists_avoiding_coloring(
-            n, m, kappa, k, node_budget=node_budget, workers=workers
-        )
-        outcomes[n] = outcome
-        if outcome.kind == EXHAUSTED:
-            return RamseyResult(m, kappa, k, n_max, n, "determined", outcomes)
-        if outcome.kind == UNKNOWN:
-            return RamseyResult(m, kappa, k, n_max, None, UNKNOWN, outcomes)
+    _check_search_args(n_max, m, kappa, k)
+    if workers > 1:
+        searched = []
+        for n in range(m, n_max + 1):
+            searched.append(exists_avoiding_coloring(
+                n, m, kappa, k, node_budget=node_budget, workers=workers
+            ))
+            if searched[-1].kind != AVOIDING:
+                break
+    else:
+        searched = [
+            _outcome(n, m, kappa, k, kind, colors, stats, 1)
+            for n, (kind, colors, stats) in enumerate(
+                _backtrack(n_max, m, kappa, k, node_budget, start=m), m
+            )
+        ]
+    outcomes = {o.n: o for o in searched}
+    last = searched[-1]
+    if last.kind == EXHAUSTED:
+        return RamseyResult(m, kappa, k, n_max, last.n, "determined", outcomes)
+    if last.kind == UNKNOWN:
+        return RamseyResult(m, kappa, k, n_max, None, UNKNOWN, outcomes)
     return RamseyResult(m, kappa, k, n_max, None, "open", outcomes)
 
 

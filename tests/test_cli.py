@@ -50,6 +50,30 @@ def test_number_reproduces_classical_value(tmp_path, capsys):
     assert manifest["outcome"]["value"] == 6
 
 
+@pytest.mark.parametrize("args, code, printed, digest", [
+    (("--m", "4", "--kappa", "2", "--colors", "3", "--nmax", "12", "--budget", "42000"),
+     3, "unknown (budget exhausted)", "529f52e428f9a9c0"),
+    (("--m", "5", "--kappa", "2", "--colors", "2", "--nmax", "9"), 0, "7", "85161366d0fc749e"),
+    (("--m", "3", "--kappa", "2", "--colors", "3", "--nmax", "10"), 0, "> 10",
+     "2debfe1b9ed7c278"),
+])
+def test_number_manifest_digests_are_pinned(tmp_path, capsys, args, code, printed, digest):
+    # Pinned from the search that ran each n from scratch: reading every n
+    # off one search must leave each n's kind, counts and coloring as they were.
+    got, store = run(tmp_path, "number", *args)
+    assert (got, capsys.readouterr().out.strip()) == (code, printed)
+    (manifest,) = manifests(store)
+    assert manifest["digest"][:16] == digest
+
+
+def test_search_refuses_negative_n(tmp_path, capsys):
+    code, store = run(tmp_path, "search", "--n", "-3", "--m", "2", "--kappa", "1",
+                      "--colors", "2")
+    assert code == 2
+    assert "need n >= 0" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_search_manifest_replay_digest(tmp_path, capsys):
     args = ("search", "--n", "5", "--m", "3", "--kappa", "3", "--colors", "2")
     _, store = run(tmp_path, *args)

@@ -35,3 +35,15 @@ def test_check_table_exits_1_on_an_oracle_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(check, "brute_force_kappa", lambda g: oracle(g) + 1)
     assert check.main(["--m", "5"]) == 1
     assert "oracle mismatches" in capsys.readouterr().out
+
+
+def test_collapse_table_prints_the_deciding_n_node_count(capsys):
+    from hcramsey.search import ramsey_number
+
+    _load("collapse_table").main(["--max-m", "3", "--max-kappa", "3", "--nmax", "6"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[4] == "last_n_nodes"
+    for row in rows:
+        m, kappa, k = map(int, row.split()[:3])
+        result = ramsey_number(m, kappa, k, 6)
+        assert int(row.split()[-2]) == result.outcomes[max(result.outcomes)].stats.nodes

@@ -1,9 +1,11 @@
 import hashlib
+import inspect
 import itertools
 import multiprocessing
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -387,14 +389,15 @@ def test_pattern_table_sampled(m, k):
         assert bad[p] == (_pattern_value(table, m, k, p) >= 2), p
 
 
-def _refused_before_any_table(monkeypatch, match, *args, **kwargs):
+def _refused_before_any_table(monkeypatch, match, *args, search=exists_avoiding_coloring,
+                              **kwargs):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     before = connectivity_table.cache_info(), pattern_table.cache_info()
     with pytest.raises(ValueError, match=match):
-        exists_avoiding_coloring(*args, **kwargs)
+        search(*args, **kwargs)
     after = connectivity_table.cache_info(), pattern_table.cache_info()
     assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
 
@@ -413,6 +416,31 @@ def test_m_above_the_table_limit_refuses_before_building_a_table(monkeypatch):
         monkeypatch, "size limit: connectivity tables cover m <= 7",
         9, 8, 1, 1, workers=2,
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m, kappa, k, match", [
+    (7, 1, 3, "size limit: the pattern table"),
+    (4, 1, 17, "size limit: the pattern table"),
+    (8, 1, 1, "size limit: connectivity tables cover m <= 7"),
+])
+def test_ramsey_number_refuses_before_building_a_table(monkeypatch, m, kappa, k, match,
+                                                       workers):
+    _refused_before_any_table(
+        monkeypatch, match, m, kappa, k, m + 2, workers=workers, search=ramsey_number,
+    )
+
+
+def test_negative_n_is_refused_before_building_a_table(monkeypatch):
+    # C(-3, 2) = 6: without the check the search colored six bogus edges.
+    _refused_before_any_table(monkeypatch, "need n >= 0", -3, 2, 1, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_edgeless_n_is_avoiding_without_a_node(n):
+    out = exists_avoiding_coloring(n, 3, 2, 2)
+    assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (AVOIDING, 0, 0)
+    assert out.coloring == EdgeColoring(n, 2, ())
 
 
 def test_pattern_limit_admits_a_table_of_exactly_the_limit(monkeypatch):
@@ -450,6 +478,53 @@ def test_panel_counts_digest():
             row = (m, kappa, k, n, o.kind, o.stats.nodes, o.stats.forbidden_prunes, colors)
             h.update(repr(row).encode())
     assert h.hexdigest()[:16] == "65ab8300a6cde6e9"
+
+
+# (m, kappa, k, n_max, budget): unknown in the middle of a sweep and at its
+# first n, exhausted, open, n_max == m, one color, and kappa > m.
+SWEEP_GRID = [
+    (3, 2, 3, 14, 3_000),
+    (3, 3, 2, 6, 3),
+    (4, 2, 3, 12, 42_000),
+    (5, 2, 2, 9, None),
+    (3, 3, 2, 6, None),
+    (3, 2, 3, 10, None),
+    (4, 1, 2, 4, None),
+    (5, 2, 2, 5, None),
+    (3, 1, 1, 5, None),
+    (3, 5, 2, 6, None),
+    (4, 6, 3, 6, 500),
+]
+
+
+@pytest.mark.parametrize("m, kappa, k, n_max, budget", SWEEP_GRID)
+def test_sweep_matches_a_search_per_n(m, kappa, k, n_max, budget):
+    # One search over K_n_max reads off each n; a search of K_n alone, under
+    # the same budget, must report the same kind, counts and coloring.
+    result = ramsey_number(m, kappa, k, n_max, node_budget=budget)
+    last = max(result.outcomes)
+    assert sorted(result.outcomes) == list(range(m, last + 1))
+    for n, o in result.outcomes.items():
+        alone = exists_avoiding_coloring(n, m, kappa, k, node_budget=budget)
+        assert (o.kind, o.stats.nodes, o.stats.forbidden_prunes, o.coloring) == (
+            alone.kind, alone.stats.nodes, alone.stats.forbidden_prunes, alone.coloring
+        ), n
+        assert o.kind == (AVOIDING if n < last else result.outcomes[last].kind)
+    walls = [result.outcomes[n].stats.wall_time for n in sorted(result.outcomes)]
+    assert walls == sorted(walls)
+
+
+def test_search_depth_does_not_grow_with_n():
+    # One loop step per colex position: a search 45 positions deep runs
+    # within a few frames of its caller.
+    ramsey_number(3, 2, 3, 5)  # builds the tables first
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        result = ramsey_number(3, 2, 3, 10)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.outcomes[10].kind == AVOIDING
 
 
 class TestRamseyNumber:
