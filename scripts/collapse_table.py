@@ -6,7 +6,7 @@ least n at which no avoiding coloring exists, and prints one row per
 parameter point together with the search effort.  Points that stay open up
 to n_max are reported as "> n_max".  The `last_n_nodes` column is the node
 count of the last n searched, the one that decided the row: exhausted,
-unknown, or n_max when open.  A serial run is one search over K_n_max that
+unknown, or n_max when open.  Each row is one search over K_n_max that
 reads off each smaller n on the way, so that count is every node the row's
 search visited; the smaller n's counts are prefixes of it and are not added.
 
@@ -27,7 +27,6 @@ def main(argv=None) -> None:
     ap.add_argument("--max-kappa", type=int, default=3)
     ap.add_argument("--colors", type=int, default=2)
     ap.add_argument("--nmax", type=int, default=6)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--budget", type=int, default=None,
                     help="node budget per search; exceeded points print '?'")
     args = ap.parse_args(argv)
@@ -38,10 +37,7 @@ def main(argv=None) -> None:
             if kappa > m:
                 continue
             start = time.perf_counter()
-            result = ramsey_number(
-                m, kappa, args.colors, args.nmax,
-                node_budget=args.budget, workers=args.workers,
-            )
+            result = ramsey_number(m, kappa, args.colors, args.nmax, node_budget=args.budget)
             elapsed = time.perf_counter() - start
             nodes = result.outcomes[max(result.outcomes)].stats.nodes
             if result.status == "determined":

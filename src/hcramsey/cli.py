@@ -56,9 +56,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
-BUDGET_HELP = (
-    "node budget; with --workers > 1 each top-level color prefix gets an "
-    "equal share, so a budgeted verdict can depend on the worker count"
+BUDGET_HELP = "node budget, at least 0; a search that exceeds it is unknown (exit 3)"
+WORKER_BUDGET_HELP = (
+    "; with --workers > 1 each top-level color prefix gets an equal share, "
+    "so a budgeted verdict can depend on the worker count"
 )
 SEARCH_HELP = (
     "one table lookup per completed m-set, in a table of colors^C(m,2) "
@@ -93,8 +94,7 @@ def append_manifest(store_path, command, params, seed, workers, wall_time, outco
         "outcome": outcome,
         "digest": outcome_digest(outcome),
     }
-    with open(store_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True) + "\n")
+    _write(store_path, json.dumps(manifest, sort_keys=True) + "\n", "a")
     return manifest
 
 
@@ -106,10 +106,17 @@ def _read(path):
         raise InputFormatError(f"{path}: {exc.strerror}") from None
 
 
+def _write(path, text, mode="w"):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"{path}: {exc.strerror}") from None
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -170,7 +177,7 @@ def cmd_search(args):
 def cmd_number(args):
     result = ramsey_number(
         args.m, args.kappa, args.colors, args.nmax,
-        node_budget=args.budget, workers=args.workers,
+        node_budget=args.budget,
     )
     if result.status == "determined":
         print(result.value)
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, help=BUDGET_HELP)
+    p.add_argument("--budget", type=int, help=BUDGET_HELP + WORKER_BUDGET_HELP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("number", help="finite connected Ramsey number",
@@ -321,13 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "kappa-connected m-set, by one search over K_nmax that reads off "
                        "each n when it first colors all of K_n; each n's node and prune "
                        "counts are those of a search of K_n alone, and its wall_time "
-                       "runs from the start of the search to that n's decision (with "
-                       "--workers > 1, one search per n): " + SEARCH_HELP + ".")
+                       "runs from the start of the search to that n's decision: "
+                       + SEARCH_HELP + ".")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_number)
 
@@ -370,22 +376,22 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         outcome, code = args.func(args)
+        wall_time = time.perf_counter() - start
+        params = {
+            key: value
+            for key, value in vars(args).items()
+            if key not in ("func", "store", "command") and value is not None
+        }
+        append_manifest(
+            args.store, args.command, params, args.seed,
+            getattr(args, "workers", 1), wall_time, outcome,
+        )
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    wall_time = time.perf_counter() - start
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("func", "store", "command") and value is not None
-    }
-    append_manifest(
-        args.store, args.command, params, args.seed,
-        getattr(args, "workers", 1), wall_time, outcome,
-    )
     return code
 
 

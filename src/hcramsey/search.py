@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -327,11 +328,13 @@ def _worker(args):
     return _backtrack(*args)[0]
 
 
-def _check_search_args(n, m, kappa, k):
+def _check_search_args(n, m, kappa, k, node_budget):
     """The argument checks shared by exists_avoiding_coloring and
     ramsey_number, made before any table is built."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
     if m > TABLE_VERTEX_LIMIT:
@@ -380,26 +383,31 @@ def exists_avoiding_coloring(
     as a base-k number; the m-sets are listed per edge when the search
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
-    k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, or with
-    n < 0 raises ValueError before any table or worker pool is built; for
-    n <= 1 there is no edge to color, and K_n is avoiding after 0 nodes.
+    k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
+    node_budget < 0 or workers < 1 raises ValueError before any table or
+    worker pool is built; for n <= 1 there is no edge to color, and K_n is
+    avoiding after 0 nodes.
 
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
-    than one worker, top-level color prefixes are searched in parallel,
-    each under an equal share of the budget, and the search stops at the
-    first prefix, in serial order, that finds an avoiding coloring.
+    than one worker, top-level color prefixes are searched in parallel by
+    at most os.cpu_count() processes, each prefix under an equal share of
+    the budget, and the search stops at the first prefix, in serial order,
+    that finds an avoiding coloring.  The prefixes follow `workers`, not
+    the process count, so the outcome does not depend on the machine.
     Unbudgeted, it returns the serial kind and coloring; the stats add up
     the prefixes up to and including that one.  Budgeted, each prefix gets
     node_budget // len(prefixes) nodes, so the kind can depend on the
     worker count: (9, 4, 2, 3) with node_budget=3000 is unknown serially
     after 3,001 nodes and avoiding with 2 workers after 2,190.
     """
-    _check_search_args(n, m, kappa, k)
+    _check_search_args(n, m, kappa, k, node_budget)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got workers={workers}")
     start = time.perf_counter()
     nedges = n * (n - 1) // 2
 
-    if workers <= 1 or nedges < 3:
+    if workers == 1 or nedges < 3:
         [(kind, colors, stats)] = _backtrack(n, m, kappa, k, node_budget)
         return _outcome(n, m, kappa, k, kind, colors, stats, 1)
 
@@ -414,7 +422,7 @@ def exists_avoiding_coloring(
     # which fork from a parent that holds the pattern table.
     pattern_table(m, min(kappa, m), k)
     before = set(multiprocessing.active_children())
-    with multiprocessing.Pool(workers) as pool:
+    with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
         procs = set(multiprocessing.active_children()) - before
         results = pool.imap(_worker, args)
         for _ in args:
@@ -457,14 +465,13 @@ def ramsey_number(
     k: int,
     n_max: int,
     node_budget: int | None = None,
-    workers: int = 1,
 ) -> RamseyResult:
     """Least n <= n_max such that every k-coloring of K_n has a
     monochromatic kappa-connected m-set, with per-n search outcomes;
     status "open" means every n <= n_max still admits an avoiding
     coloring.
 
-    Serially this is one search over K_n_max (see _backtrack): n's outcome
+    This is one search over K_n_max (see _backtrack): n's outcome
     is read off when that search first colors all of K_n, and the smallest
     n it never completes is exhausted, or unknown if the node budget runs
     out first.  Each n's kind, coloring, node and prune counts equal those
@@ -473,30 +480,16 @@ def ramsey_number(
     of that n alone visits them too.  Each n's stats.wall_time is the time
     from the start of the search to that n's decision, so it never
     decreases with n.
-
-    With workers > 1 each n is a separate parallel search.  One search per
-    n is kept there because each n's prefix split stops at its own first
-    avoiding prefix, and one sweep per prefix would have to run every
-    later prefix without a bound.
     """
     if n_max < m:
         raise ValueError("need n_max >= m")
-    _check_search_args(n_max, m, kappa, k)
-    if workers > 1:
-        searched = []
-        for n in range(m, n_max + 1):
-            searched.append(exists_avoiding_coloring(
-                n, m, kappa, k, node_budget=node_budget, workers=workers
-            ))
-            if searched[-1].kind != AVOIDING:
-                break
-    else:
-        searched = [
-            _outcome(n, m, kappa, k, kind, colors, stats, 1)
-            for n, (kind, colors, stats) in enumerate(
-                _backtrack(n_max, m, kappa, k, node_budget, start=m), m
-            )
-        ]
+    _check_search_args(n_max, m, kappa, k, node_budget)
+    searched = [
+        _outcome(n, m, kappa, k, kind, colors, stats, 1)
+        for n, (kind, colors, stats) in enumerate(
+            _backtrack(n_max, m, kappa, k, node_budget, start=m), m
+        )
+    ]
     outcomes = {o.n: o for o in searched}
     last = searched[-1]
     if last.kind == EXHAUSTED:

@@ -45,12 +45,12 @@ from conftest import graphs_on, monotone_coloring, random_graph, sample_subaddit
 
 def test_criterion_1_finite_collapse():
     start = time.perf_counter()
-    r33 = ramsey_number(3, 3, 2, 6, workers=1)
+    r33 = ramsey_number(3, 3, 2, 6)
     assert r33.value == 6
     assert r33.outcomes[5].kind == AVOIDING
     assert arrow_check(r33.outcomes[5].coloring, 3, 3) is None
     assert r33.outcomes[6].kind == EXHAUSTED
-    r32 = ramsey_number(3, 2, 2, 6, workers=1)
+    r32 = ramsey_number(3, 2, 2, 6)
     assert r32.value == 6
     elapsed = time.perf_counter() - start
     assert elapsed < 120

@@ -74,6 +74,45 @@ def test_search_refuses_negative_n(tmp_path, capsys):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--budget", "-5"), "need node_budget >= 0"),
+    (("--workers", "-3"), "need workers >= 1"),
+])
+def test_search_refuses_a_negative_budget_or_worker_count(tmp_path, capsys, extra, message):
+    code, store = run(tmp_path, "search", "--n", "6", "--m", "3", "--kappa", "3",
+                      "--colors", "2", *extra)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_number_has_no_workers_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "number", "--m", "3", "--kappa", "3", "--colors", "2",
+            "--nmax", "6", "--workers", "2")
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_unwritable_cnf_out_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.cnf"
+    code, store = run(tmp_path, "cnf", "--n", "5", "--m", "3", "--kappa", "2",
+                      "--colors", "2", "--out", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"input error: {out}: No such file or directory\n"
+    assert not store.exists()
+
+
+def test_unwritable_store_is_an_input_error(tmp_path, capsys):
+    store = tmp_path / "missing" / "r.jsonl"
+    code = main(["--store", str(store), "number", "--m", "3", "--kappa", "3",
+                 "--colors", "2", "--nmax", "6"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "6"
+    assert captured.err == f"input error: {store}: No such file or directory\n"
+
+
 def test_search_manifest_replay_digest(tmp_path, capsys):
     args = ("search", "--n", "5", "--m", "3", "--kappa", "3", "--colors", "2")
     _, store = run(tmp_path, *args)

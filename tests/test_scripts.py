@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -47,3 +49,10 @@ def test_collapse_table_prints_the_deciding_n_node_count(capsys):
         m, kappa, k = map(int, row.split()[:3])
         result = ramsey_number(m, kappa, k, 6)
         assert int(row.split()[-2]) == result.outcomes[max(result.outcomes)].stats.nodes
+
+
+def test_collapse_table_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("collapse_table").main(["--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

@@ -418,17 +418,59 @@ def test_m_above_the_table_limit_refuses_before_building_a_table(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("m, kappa, k, match", [
     (7, 1, 3, "size limit: the pattern table"),
     (4, 1, 17, "size limit: the pattern table"),
     (8, 1, 1, "size limit: connectivity tables cover m <= 7"),
 ])
-def test_ramsey_number_refuses_before_building_a_table(monkeypatch, m, kappa, k, match,
-                                                       workers):
+def test_ramsey_number_refuses_before_building_a_table(monkeypatch, m, kappa, k, match):
+    _refused_before_any_table(monkeypatch, match, m, kappa, k, m + 2, search=ramsey_number)
+
+
+@pytest.mark.parametrize("search, args", [
+    (exists_avoiding_coloring, (6, 3, 3, 2)),
+    (ramsey_number, (3, 3, 2, 6)),
+])
+def test_negative_budget_is_refused_before_building_a_table(monkeypatch, search, args):
+    # Unchecked, -5 read as "unknown after 1 node".
     _refused_before_any_table(
-        monkeypatch, match, m, kappa, k, m + 2, workers=workers, search=ramsey_number,
+        monkeypatch, "need node_budget >= 0", *args, node_budget=-5, search=search,
     )
+
+
+def test_zero_budget_is_unknown_after_one_node():
+    out = exists_avoiding_coloring(6, 3, 3, 2, node_budget=0)
+    assert (out.kind, out.stats.nodes) == (UNKNOWN, 1)
+    result = ramsey_number(3, 3, 2, 6, node_budget=0)
+    assert (result.status, list(result.outcomes)) == (UNKNOWN, [3])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_is_refused_before_building_a_table(monkeypatch, workers):
+    # -3 used to run serially and record "workers": -3 in the outcome.
+    _refused_before_any_table(monkeypatch, "need workers >= 1", 6, 3, 3, 2, workers=workers)
+
+
+@pytest.mark.parametrize("cpus, workers, kind, nodes", [
+    (1, 2, AVOIDING, 2190),  # the two-prefix split of the budget test
+    (2, 3, UNKNOWN, 3005),  # five prefixes, 600 nodes each
+])
+def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind, nodes):
+    # The prefix split follows `workers`, so the outcome is the one an
+    # uncapped pool of `workers` processes gives.
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(processes, *args, **kwargs):
+        sizes.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000, workers=workers)
+    assert sizes == [cpus]
+    assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
+    assert multiprocessing.active_children() == []
 
 
 def test_negative_n_is_refused_before_building_a_table(monkeypatch):
