@@ -42,8 +42,8 @@ class BitstringFamily:
 
     @classmethod
     def full(cls, length) -> "BitstringFamily":
-        """All 2^length strings in binary counting order."""
-        return cls(length, tuple(format(i, f"0{length}b") for i in range(2**length)))
+        """All 2^length strings in binary counting order; full(0) is ("",)."""
+        return cls(length, tuple("".join(s) for s in itertools.product("01", repeat=length)))
 
     def size(self) -> int:
         return len(self.strings)
@@ -189,17 +189,15 @@ class ConfinementCounterexample(NamedTuple):
     max_color: int
 
 
-def path_confinement_counterexample(c: OrderedColoring, enforce_guard: bool = True):
-    """Search for a path a = v0, ..., vj+1 = b whose internal vertices all
-    exceed a and whose max edge color is below c(a, b).  Returns None when
-    every such path is confined (the subadditive case), else the first
-    counterexample found.
+def path_confinement_counterexample(c: OrderedColoring):
+    """Search any coloring for a path a = v0, ..., vj+1 = b whose internal
+    vertices all exceed a and whose max edge color is below c(a, b).
+    Returns None when every such path is confined (as in the subadditive
+    case), else the first counterexample found.
 
     Works by raising a color threshold and BFS-ing the subgraph of edges
     with color <= threshold among vertices >= a.
     """
-    if enforce_guard and not is_subadditive(c):
-        raise ValueError("not subadditive")
     for a in range(c.n):
         reached_at = {}
         for xi in range(c.k):
@@ -225,8 +223,10 @@ def path_confinement_counterexample(c: OrderedColoring, enforce_guard: bool = Tr
     return None
 
 
-def path_confinement_check(c: OrderedColoring, enforce_guard: bool = True) -> bool:
-    return path_confinement_counterexample(c, enforce_guard) is None
+def path_confinement_check(c: OrderedColoring) -> bool:
+    if not is_subadditive(c):
+        raise ValueError("not subadditive")
+    return path_confinement_counterexample(c) is None
 
 
 def common_neighbor_certify(c: EdgeColoring, vertices, i: int, kappa: int) -> bool:

@@ -163,14 +163,6 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
 # Backtracking search for avoiding colorings
 
 
-def _colex_order(n: int):
-    """Edge assignment order: pairs sorted by (max, min), so (u, v) sits at
-    position v(v-1)/2 + u and the first C(j,2) positions are the edges of
-    K_j.  The m-sets completed by assigning (u, v) are exactly {v} together
-    with m-1 vertices from {0..u} including u."""
-    return sorted(all_pairs(n), key=lambda p: (p[1], p[0]))
-
-
 @lru_cache(maxsize=None)
 def pattern_table(m: int, threshold: int, k: int) -> bytes:
     """bad[p] = 1 if the coloring of K_m's pairs coded by p has a color
@@ -220,35 +212,40 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     per step of a loop; `prefix` pins the colors of the first positions
     (used to split work across processes).
 
-    The first C(j,2) positions are the edges of K_j and complete exactly
-    K_j's m-sets, so until the loop first reaches position C(j,2) it visits
-    the nodes, in the order, that a search of K_j alone would visit.  For
-    each j from `start` (default n) up to n it therefore reads off K_j's
-    outcome: avoiding when the loop first reaches C(j,2), else exhausted
-    when the loop ends or unknown when the node budget runs out.  Returns
-    one (kind, colors, stats) per j from start, ending at n or at the first
-    j that is not avoiding; colors is K_j's coloring in lexicographic pair
-    order (None unless avoiding), and stats.wall_time is the time from the
-    call to that j's decision.
+    Colex order sorts pairs by (max, min), so (u, v) sits at position
+    v(v-1)/2 + u and the m-sets completed by assigning it are exactly {v}
+    with m-1 vertices from {0..u} including u.  The first C(j,2) positions
+    are the edges of K_j and complete exactly K_j's m-sets, so until the
+    loop first reaches position C(j,2) it visits the nodes, in the order,
+    that a search of K_j alone would visit.  For each j from `start`
+    (default n) up to n it therefore reads off K_j's outcome: avoiding when
+    the loop first reaches C(j,2), else exhausted when the loop ends or
+    unknown when the node budget runs out.  Returns one (kind, colors,
+    stats) per j from start, ending at n or at the first j that is not
+    avoiding; colors is K_j's coloring in lexicographic pair order (None
+    unless avoiding), and stats.wall_time is the time from the call to that
+    j's decision.
     """
     t0 = time.perf_counter()
     j = n if start is None else start
     bad = pattern_table(m, min(kappa, m), k)
-    order = _colex_order(n)
-    nedges = len(order)
     budget = float("inf") if node_budget is None else node_budget
     plen = len(prefix)
+    # The loop steps onto position p only after p nodes, so no position
+    # past the budget is ever reached.
+    reach = min(n * (n - 1) // 2, budget + 1)
     # checks[pos]: the m-sets completed at position pos, each as the colex
     # positions of its pairs from the last lexicographic pair to the first,
     # the order in which the Horner loop reads them; built when the search
     # first reaches pos.
-    checks = [None] * nedges
-    colors = [0] * nedges  # by colex position
-    nxt = [0] * nedges  # next color to try at each position
-    lim = [0] * nedges  # one past the last color to try
-    used = [0] * nedges  # colors used before each position
+    checks = [None] * reach
+    colors = [0] * reach  # by colex position
+    nxt = [0] * reach  # next color to try at each position
+    lim = [0] * reach  # one past the last color to try
+    used = [0] * reach  # colors used before each position
     outcomes = []
     nodes = prunes = pos = 0
+    u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
     goal = j * (j - 1) // 2
     while goal == 0:  # K_0 and K_1 have no edges
         outcomes.append(_avoiding(j, colors, nodes, prunes, t0))
@@ -273,7 +270,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
         colors[pos] = col
         sets = checks[pos]
         if sets is None:
-            u, v = order[pos]
+            u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
             sets = checks[pos] = [
                 [b * (b - 1) // 2 + a
                  for a, b in itertools.combinations(rest + (u, v), 2)][::-1]

@@ -166,6 +166,14 @@ def test_coloring_sierpinski_and_blowup(tmp_path, capsys):
     assert parse_coloring_text(blow.read_text()).n == 5
 
 
+def test_coloring_sierpinski_of_length_zero(tmp_path):
+    # The one-string family ("",) colors K_1 with no colors.
+    out = tmp_path / "s0.txt"
+    code, _ = run(tmp_path, "coloring", "sierpinski", "--length", "0", "--out", str(out))
+    assert code == 0
+    assert out.read_text().split() == ["1", "0"]
+
+
 def _two_pentagons_model(tmp_path):
     from hcramsey.satbridge import coloring_to_literals, emit_cnf
 

@@ -58,6 +58,16 @@ class TestSierpinskiColoring:
         with pytest.raises(ValueError, match="duplicate"):
             BitstringFamily(2, ("00", "00"))
 
+    def test_full_of_length_zero_is_the_empty_string(self):
+        # format(0, "00b") is "0", so full(0) used to raise.
+        assert BitstringFamily.full(0).strings == ("",)
+
+    @pytest.mark.parametrize("length", range(1, 6))
+    def test_full_is_binary_counting_order(self, length):
+        assert BitstringFamily.full(length).strings == tuple(
+            format(i, f"0{length}b") for i in range(2**length)
+        )
+
     def test_triangle_free_full_families(self):
         assert check_sierpinski_triangle_free(BitstringFamily.full(2))
         assert check_sierpinski_triangle_free(BitstringFamily.full(3))
@@ -195,7 +205,7 @@ class TestPathConfinement:
             path_confinement_check(PLANTED_BAD)
 
     def test_planted_counterexample_past_guard(self):
-        ce = path_confinement_counterexample(PLANTED_BAD, enforce_guard=False)
+        ce = path_confinement_counterexample(PLANTED_BAD)
         assert ce.path == (0, 2, 1)
         assert ce.max_color == 0
 

@@ -505,6 +505,23 @@ def test_completion_index_is_built_as_the_search_reaches_it():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("search", [
+    lambda: exists_avoiding_coloring(2000, 3, 2, 2, node_budget=10).kind,
+    lambda: ramsey_number(3, 2, 2, 2000, node_budget=10).status,
+], ids=["exists_avoiding_coloring", "ramsey_number"])
+def test_budgeted_search_memory_follows_its_budget(search):
+    # K_2000 has 1,999,000 pairs; sorting them all and keeping five lists
+    # of that length took hundreds of MB before an 11-node search stopped.
+    tracemalloc.start()
+    try:
+        kind = search()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kind == UNKNOWN
+    assert peak < 1 << 20
+
+
 def test_panel_counts_digest():
     # (kind, nodes, prunes, coloring) of every n searched by these
     # ramsey_number calls, pinned from the search that checked each m-set
