@@ -57,10 +57,6 @@ EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_UNKNOWN = 3
 BUDGET_HELP = "node budget, at least 0; a search that exceeds it is unknown (exit 3)"
-WORKER_BUDGET_HELP = (
-    "; with --workers > 1 each top-level color prefix gets an equal share, "
-    "so a budgeted verdict can depend on the worker count"
-)
 SEARCH_HELP = (
     "one table lookup per completed m-set, in a table of colors^C(m,2) "
     "entries; more than 2^24 entries (m=7 with colors >= 3, m=6 with "
@@ -320,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--budget", type=int, help=BUDGET_HELP + WORKER_BUDGET_HELP)
+    p.add_argument("--budget", type=int, help=BUDGET_HELP + "; needs --workers 1")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("number", help="finite connected Ramsey number",

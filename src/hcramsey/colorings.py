@@ -279,35 +279,29 @@ def _indexed_delta_root(sets):
     return root
 
 
+def _line_roots(lines):
+    """Root of each (key, sets) line of at least two sets, None for a
+    shorter line; None overall when a line, or the determined roots
+    together, form no sunflower."""
+    roots = {}
+    for key, sets in lines:
+        roots[key] = _indexed_delta_root(sets) if len(sets) >= 2 else None
+        if len(sets) >= 2 and roots[key] is None:
+            return None
+    determined = [r for r in roots.values() if r is not None]
+    if len(determined) >= 2 and _indexed_delta_root(determined) is None:
+        return None
+    return roots
+
+
 def _check_delta_candidate(family, members: tuple):
     """Verify the four sunflower conditions on the index set `members`;
     returns a DeltaSystemReport or None."""
-    row_roots = {}
-    col_roots = {}
-    for a in members:
-        row = [family[(a, b)] for b in members if b > a]
-        if len(row) >= 2:
-            root = _indexed_delta_root(row)
-            if root is None:
-                return None
-            row_roots[a] = root
-        else:
-            row_roots[a] = None
-    for b in members:
-        col = [family[(a, b)] for a in members if a < b]
-        if len(col) >= 2:
-            root = _indexed_delta_root(col)
-            if root is None:
-                return None
-            col_roots[b] = root
-        else:
-            col_roots[b] = None
-
-    determined_rows = [r for r in row_roots.values() if r is not None]
-    if len(determined_rows) >= 2 and _indexed_delta_root(determined_rows) is None:
+    row_roots = _line_roots((a, [family[(a, b)] for b in members if b > a]) for a in members)
+    if row_roots is None:
         return None
-    determined_cols = [r for r in col_roots.values() if r is not None]
-    if len(determined_cols) >= 2 and _indexed_delta_root(determined_cols) is None:
+    col_roots = _line_roots((b, [family[(a, b)] for a in members if a < b]) for b in members)
+    if col_roots is None:
         return None
 
     unions = [
@@ -330,9 +324,9 @@ def _check_delta_candidate(family, members: tuple):
         if x & y:
             return None
 
-    uniform = (
-        len({len(r) for r in determined_rows}) <= 1
-        and len({len(r) for r in determined_cols}) <= 1
+    uniform = all(
+        len({len(r) for r in roots.values() if r is not None}) <= 1
+        for roots in (row_roots, col_roots)
     )
     return DeltaSystemReport(
         B=members,

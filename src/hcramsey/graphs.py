@@ -161,6 +161,8 @@ class EdgeColoring:
     colors: tuple
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError("negative vertex count")
         object.__setattr__(self, "colors", tuple(self.colors))
         npairs = self.n * (self.n - 1) // 2
         if len(self.colors) != npairs:

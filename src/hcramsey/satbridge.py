@@ -117,6 +117,9 @@ def parse_dimacs(text: str) -> CnfInstance:
         n, m, kappa, k = (int(provenance[key]) for key in ("n", "m", "kappa", "k"))
     except (KeyError, ValueError):
         raise InputFormatError("malformed provenance comment") from None
+    for key, value in zip(("n", "m", "kappa", "k"), (n, m, kappa, k)):
+        if value < 0:
+            raise InputFormatError(f"provenance {key}={value} is negative")
     if "forbidden" not in provenance:
         raise InputFormatError("provenance comment has no forbidden= hash")
     if header is None or len(header) != 4 or header[:2] != ["p", "cnf"]:
@@ -190,12 +193,15 @@ def parse_model_text(text: str) -> list[int]:
 
 
 def decode_model(inst: CnfInstance, literals) -> EdgeColoring:
-    """Read the unique coloring off a total one-hot assignment."""
+    """Read the unique coloring off a total one-hot assignment; a literal
+    that contradicts an earlier one raises ValueError."""
     assignment = {}
     for lit in literals:
         var = abs(lit)
         if not 1 <= var <= inst.num_vars:
             raise ValueError(f"literal {lit} references no variable")
+        if assignment.get(var, lit > 0) != (lit > 0):
+            raise ValueError(f"literal {lit} contradicts literal {-lit}")
         assignment[var] = lit > 0
     if len(assignment) < inst.num_vars:
         raise ValueError("assignment not total over instance variables")

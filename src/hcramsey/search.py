@@ -231,18 +231,16 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
     plen = len(prefix)
-    # The loop steps onto position p only after p nodes, so no position
-    # past the budget is ever reached.
-    reach = min(n * (n - 1) // 2, budget + 1)
     # checks[pos]: the m-sets completed at position pos, each as the colex
     # positions of its pairs from the last lexicographic pair to the first,
-    # the order in which the Horner loop reads them; built when the search
-    # first reaches pos.
-    checks = [None] * reach
-    colors = [0] * reach  # by colex position
-    nxt = [0] * reach  # next color to try at each position
-    lim = [0] * reach  # one past the last color to try
-    used = [0] * reach  # colors used before each position
+    # the order in which the Horner loop reads them.  Each per-position list
+    # holds the positions reached plus the next one, and grows by one entry
+    # when the loop first reaches a position.
+    checks = [None]
+    colors = [0]  # by colex position
+    nxt = [0]  # next color to try at each position
+    lim = [0]  # one past the last color to try
+    used = [0]  # colors used before each position
     outcomes = []
     nodes = prunes = pos = 0
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
@@ -276,6 +274,9 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
                  for a, b in itertools.combinations(rest + (u, v), 2)][::-1]
                 for rest in itertools.combinations(range(u), m - 2)
             ]
+            checks.append(None)
+            for state in (colors, nxt, lim, used):
+                state.append(0)
         # Every color, not only the new edge's: a subset completed here can
         # be kappa-connected in a color the new edge does not carry.
         for idxs in sets:
@@ -381,26 +382,24 @@ def exists_avoiding_coloring(
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
-    node_budget < 0 or workers < 1 raises ValueError before any table or
-    worker pool is built; for n <= 1 there is no edge to color, and K_n is
-    avoiding after 0 nodes.
+    node_budget < 0, workers < 1, or a node budget with workers > 1 raises
+    ValueError before any table or worker pool is built; for n <= 1 there
+    is no edge to color, and K_n is avoiding after 0 nodes.
 
     Symmetry breaking is color-first-use only.  A node budget turns
     nontermination risk into an explicit "unknown" outcome.  With more
     than one worker, top-level color prefixes are searched in parallel by
-    at most os.cpu_count() processes, each prefix under an equal share of
-    the budget, and the search stops at the first prefix, in serial order,
-    that finds an avoiding coloring.  The prefixes follow `workers`, not
-    the process count, so the outcome does not depend on the machine.
-    Unbudgeted, it returns the serial kind and coloring; the stats add up
-    the prefixes up to and including that one.  Budgeted, each prefix gets
-    node_budget // len(prefixes) nodes, so the kind can depend on the
-    worker count: (9, 4, 2, 3) with node_budget=3000 is unknown serially
-    after 3,001 nodes and avoiding with 2 workers after 2,190.
+    at most os.cpu_count() processes, and the search stops at the first
+    prefix, in serial order, that finds an avoiding coloring.  The
+    prefixes follow `workers`, not the process count, so the outcome does
+    not depend on the machine: it is the serial kind and coloring, and the
+    stats add up the prefixes up to and including that one.
     """
     _check_search_args(n, m, kappa, k, node_budget)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got workers={workers}")
+    if workers > 1 and node_budget is not None:
+        raise ValueError(f"a node budget needs workers=1, got workers={workers}")
     start = time.perf_counter()
     nedges = n * (n - 1) // 2
 
@@ -409,8 +408,7 @@ def exists_avoiding_coloring(
         return _outcome(n, m, kappa, k, kind, colors, stats, 1)
 
     prefixes = _prefixes(k, workers, nedges)
-    share = None if node_budget is None else max(1, node_budget // len(prefixes))
-    args = [(n, m, kappa, k, share, p) for p in prefixes]
+    args = [(n, m, kappa, k, None, p) for p in prefixes]
     total = SearchStats()
     best_kind, best_colors = EXHAUSTED, None
     # imap yields in prefix order, which is the serial DFS order, so the
@@ -429,8 +427,6 @@ def exists_avoiding_coloring(
             if kind == AVOIDING:
                 best_kind, best_colors = AVOIDING, colors
                 break
-            if kind == UNKNOWN:
-                best_kind = UNKNOWN
     total.wall_time = time.perf_counter() - start
     return _outcome(n, m, kappa, k, best_kind, best_colors, total, workers)
 

@@ -86,6 +86,14 @@ def test_search_refuses_a_negative_budget_or_worker_count(tmp_path, capsys, extr
     assert not store.exists()
 
 
+def test_search_refuses_a_budget_with_workers(tmp_path, capsys):
+    code, store = run(tmp_path, "search", "--n", "9", "--m", "4", "--kappa", "2",
+                      "--colors", "3", "--budget", "3000", "--workers", "2")
+    assert code == 2
+    assert "a node budget needs workers=1" in capsys.readouterr().err
+    assert not store.exists()
+
+
 def test_number_has_no_workers_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "number", "--m", "3", "--kappa", "3", "--colors", "2",
@@ -230,6 +238,23 @@ def test_verify_model_reads_solver_transcripts(tmp_path, capsys, transcript, cod
     (manifest,) = manifests(store)
     assert manifest["outcome"]["valid"] is (status is None)
     assert manifest["outcome"].get("solver_status") == status
+
+
+def test_verify_model_refuses_contradictory_literals(tmp_path, capsys):
+    from hcramsey.satbridge import coloring_to_literals, emit_cnf, to_dimacs
+    from hcramsey.graphs import EdgeColoring
+
+    inst = emit_cnf(3, 3, 2, 2)
+    cnf = tmp_path / "i.cnf"
+    cnf.write_text(to_dimacs(inst))
+    lits = coloring_to_literals(inst, EdgeColoring(3, 2, (0, 1, 0))) + [-1, 2]
+    model = tmp_path / "model.txt"
+    model.write_text("v " + " ".join(map(str, lits)) + " 0\n")
+    code, store = run(tmp_path, "verify-model", str(cnf), str(model))
+    assert code == 1
+    assert "invalid model: literal -1 contradicts literal 1" in capsys.readouterr().out
+    (manifest,) = manifests(store)
+    assert manifest["outcome"]["valid"] is False
 
 
 def test_verify_model_names_the_line_of_a_bad_literal(tmp_path, capsys):

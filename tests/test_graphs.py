@@ -64,6 +64,12 @@ class TestEdgeMask:
             Graph.from_mask(3, -1)
 
 
+def test_edge_coloring_refuses_a_negative_vertex_count():
+    # C(-1, 2) = 1, so a one-color tuple used to pass the length check.
+    with pytest.raises(ValueError, match="negative vertex count"):
+        EdgeColoring(-1, 2, (0,))
+
+
 class TestIsConnected:
     def test_path(self):
         assert is_connected(Graph.path(3))

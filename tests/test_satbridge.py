@@ -104,6 +104,15 @@ class TestDecodeModel:
         with pytest.raises(ValueError, match="not total"):
             decode_model(inst, [1, 2])
 
+    def test_contradictory_literals_rejected(self):
+        # Read last-wins, "-1 2" turned coloring (0, 1, 0) into (1, 1, 0),
+        # which the solver never stated.
+        inst = emit_cnf(3, 3, 2, 2)
+        lits = coloring_to_literals(inst, EdgeColoring(3, 2, (0, 1, 0)))
+        assert decode_model(inst, lits + lits) == EdgeColoring(3, 2, (0, 1, 0))
+        with pytest.raises(ValueError, match="literal -1 contradicts literal 1"):
+            decode_model(inst, lits + [-1, 2])
+
 
 class TestModelText:
     def test_vline_format(self):
@@ -174,6 +183,19 @@ class TestParseDimacs:
         assert "p cnf 3 6" in text and "\n1 0\n" in text
         with pytest.raises(InputFormatError):
             parse_dimacs(edit(text))
+
+    @pytest.mark.parametrize("key, provenance", [
+        ("n", "n=-1 m=3 kappa=2 k=2"),
+        ("m", "n=2 m=-3 kappa=2 k=2"),
+        ("kappa", "n=2 m=3 kappa=-2 k=2"),
+        ("k", "n=2 m=3 kappa=2 k=-2"),
+    ])
+    def test_negative_provenance_field(self, key, provenance):
+        # C(-1, 2) = 1, so n=-1 with k=2 used to match the 2 declared
+        # variables.
+        text = f"c {provenance} forbidden=0\np cnf 2 0\n"
+        with pytest.raises(InputFormatError, match=f"provenance {key}=-"):
+            parse_dimacs(text)
 
     def test_bad_literal_names_its_line(self):
         text = to_dimacs(emit_cnf(3, 3, 1, 1)).replace("\n1 0\n", "\n\n\n1 x 0\n")

@@ -259,15 +259,6 @@ class TestExistsAvoidingColoring:
             if pinned is not None:
                 assert counts[0] == pinned
 
-    def test_budget_split_depends_on_the_worker_count(self):
-        # The case the README and the exists_avoiding_coloring docstring
-        # quote: each of the two prefixes gets 1,500 of the 3,000 nodes.
-        serial = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000)
-        par = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000, workers=2)
-        assert (serial.kind, serial.stats.nodes) == (UNKNOWN, 3001)
-        assert (par.kind, par.stats.nodes) == (AVOIDING, 2190)
-        assert arrow_check(par.coloring, 2, 4) is None
-
     def test_parallel_search_builds_the_pattern_table_in_the_parent(self):
         # Workers forked from a parent without the table would each build
         # their own.
@@ -291,9 +282,10 @@ class TestExistsAvoidingColoring:
 
         killer = threading.Thread(target=kill_a_worker)
         killer.start()
-        # Untouched, this search runs for about 2 s on two workers.
+        # Untouched, this search is exhausted after 745,592 nodes, about
+        # 0.8 s on two workers.
         with pytest.raises(RuntimeError, match="exited with code -9"):
-            exists_avoiding_coloring(9, 5, 1, 3, node_budget=1_000_000, workers=2)
+            exists_avoiding_coloring(8, 6, 2, 2, workers=2)
         killer.join()
         assert killed
         assert multiprocessing.active_children() == []
@@ -451,9 +443,21 @@ def test_worker_count_below_one_is_refused_before_building_a_table(monkeypatch, 
     _refused_before_any_table(monkeypatch, "need workers >= 1", 6, 3, 3, 2, workers=workers)
 
 
+@pytest.mark.parametrize("node_budget", [3000, 0])
+def test_budget_with_workers_is_refused_before_building_a_table(monkeypatch, node_budget):
+    # A budget split across the prefixes made the verdict depend on the
+    # worker count: (9, 4, 2, 3) with 3,000 nodes was unknown serially and
+    # avoiding with 2 workers.
+    _refused_before_any_table(
+        monkeypatch, "a node budget needs workers=1", 9, 4, 2, 3,
+        node_budget=node_budget, workers=2,
+    )
+
+
 @pytest.mark.parametrize("cpus, workers, kind, nodes", [
-    (1, 2, AVOIDING, 2190),  # the two-prefix split of the budget test
-    (2, 3, UNKNOWN, 3005),  # five prefixes, 600 nodes each
+    # Serially 32,767 nodes; each prefix counts the first nodes again.
+    (1, 2, EXHAUSTED, 32768),  # two prefixes
+    (2, 3, EXHAUSTED, 32772),  # four prefixes
 ])
 def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind, nodes):
     # The prefix split follows `workers`, so the outcome is the one an
@@ -467,7 +471,7 @@ def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind
 
     monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    out = exists_avoiding_coloring(9, 4, 2, 3, node_budget=3000, workers=workers)
+    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers)
     assert sizes == [cpus]
     assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
     assert multiprocessing.active_children() == []
@@ -505,20 +509,30 @@ def test_completion_index_is_built_as_the_search_reaches_it():
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("search", [
-    lambda: exists_avoiding_coloring(2000, 3, 2, 2, node_budget=10).kind,
-    lambda: ramsey_number(3, 2, 2, 2000, node_budget=10).status,
-], ids=["exists_avoiding_coloring", "ramsey_number"])
-def test_budgeted_search_memory_follows_its_budget(search):
+def _status_and_value(result):
+    return result.status, result.value
+
+
+@pytest.mark.parametrize("search, expected", [
+    (lambda: exists_avoiding_coloring(2000, 3, 2, 2, node_budget=10).kind, UNKNOWN),
+    (lambda: _status_and_value(ramsey_number(3, 2, 2, 2000, node_budget=10)),
+     (UNKNOWN, None)),
+    (lambda: exists_avoiding_coloring(2000, 3, 2, 2).kind, EXHAUSTED),
+    (lambda: _status_and_value(ramsey_number(3, 2, 2, 2000)), ("determined", 6)),
+], ids=["exists_avoiding_coloring", "ramsey_number",
+        "exists_avoiding_coloring-unbudgeted", "ramsey_number-unbudgeted"])
+def test_budgeted_search_memory_follows_its_budget(search, expected):
     # K_2000 has 1,999,000 pairs; sorting them all and keeping five lists
-    # of that length took hundreds of MB before an 11-node search stopped.
+    # of that length took hundreds of MB before an 11-node search stopped,
+    # and lists sized by the budget still took 76 MiB for an unbudgeted
+    # search that is settled inside K_6.
     tracemalloc.start()
     try:
-        kind = search()
+        got = search()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kind == UNKNOWN
+    assert got == expected
     assert peak < 1 << 20
 
 
