@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the color prefixes; one color, one edge or "
+                   "--workers 1 gives one prefix, searched in process")
     p.add_argument("--budget", type=int, help=BUDGET_HELP + "; needs --workers 1")
     p.set_defaults(func=cmd_search)
 

@@ -43,6 +43,8 @@ class BitstringFamily:
     @classmethod
     def full(cls, length) -> "BitstringFamily":
         """All 2^length strings in binary counting order; full(0) is ("",)."""
+        if length < 0:
+            raise ValueError(f"need length >= 0, got {length}")
         return cls(length, tuple("".join(s) for s in itertools.product("01", repeat=length)))
 
     def size(self) -> int:

@@ -287,7 +287,8 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int):
 def _connectivity_certificate(n: int, mask: int):
     """(kappa, pair, paths, separator) for the incomplete graph on n >= 2
     vertices with edge mask `mask`; the minimizing nonadjacent pair (a zero
-    bit of mask) is the lexicographically least one."""
+    bit of mask) is the lexicographically least one, so the first pair with
+    no path ends the scan."""
     pairs = all_pairs(n)
     # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
     arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
@@ -301,6 +302,8 @@ def _connectivity_certificate(n: int, mask: int):
             value, paths, separator = _max_disjoint_paths(arcs, s, t)
             if best is None or value < best[0]:
                 best = (value, (s, t), paths, separator)
+                if value == 0:
+                    break
     assert best is not None
     return best
 

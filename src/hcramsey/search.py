@@ -220,11 +220,10 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     that a search of K_j alone would visit.  For each j from `start`
     (default n) up to n it therefore reads off K_j's outcome: avoiding when
     the loop first reaches C(j,2), else exhausted when the loop ends or
-    unknown when the node budget runs out.  Returns one (kind, colors,
-    stats) per j from start, ending at n or at the first j that is not
-    avoiding; colors is K_j's coloring in lexicographic pair order (None
-    unless avoiding), and stats.wall_time is the time from the call to that
-    j's decision.
+    unknown when the node budget runs out.  Returns one SearchOutcome per j
+    from start, ending at n or at the first j that is not avoiding; each
+    says "workers": 1, and its stats.wall_time is the time from the call to
+    that j's decision.
     """
     t0 = time.perf_counter()
     j = n if start is None else start
@@ -246,7 +245,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
     goal = j * (j - 1) // 2
     while goal == 0:  # K_0 and K_1 have no edges
-        outcomes.append(_avoiding(j, colors, nodes, prunes, t0))
+        outcomes.append(_avoiding(j, m, kappa, k, colors, nodes, prunes, t0))
         if j == n:
             return outcomes
         j += 1
@@ -289,7 +288,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
         else:
             pos += 1
             if pos == goal:
-                outcomes.append(_avoiding(j, colors, nodes, prunes, t0))
+                outcomes.append(_avoiding(j, m, kappa, k, colors, nodes, prunes, t0))
                 if j == n:
                     return outcomes
                 j += 1
@@ -299,26 +298,27 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
                 nxt[pos], lim[pos] = prefix[pos], prefix[pos] + 1
             else:
                 nxt[pos], lim[pos] = 0, min(seen + 1, k)
-    outcomes.append((kind, None, SearchStats(nodes, prunes, time.perf_counter() - t0)))
+    stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
+    outcomes.append(SearchOutcome(j, m, kappa, k, kind, None, stats))
     return outcomes
 
 
-def _avoiding(j, colors, nodes, prunes, t0):
+def _avoiding(j, m, kappa, k, colors, nodes, prunes, t0):
     """K_j's avoiding outcome, read off the colex colors of a search that
     has just colored K_j's edges."""
     coloring = tuple(colors[v * (v - 1) // 2 + u] for u, v in all_pairs(j))
-    return AVOIDING, coloring, SearchStats(nodes, prunes, time.perf_counter() - t0)
+    stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
+    return SearchOutcome(j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats)
 
 
 def _prefixes(k: int, workers: int, nedges: int):
     """Color prefixes respecting first-use symmetry breaking (color j
     appears only after every color < j has), one edge deeper at a time
-    until there are at least `workers` of them or they cover every edge."""
+    while there are fewer than `workers` of them, k > 1 and an edge is left.
+    So workers=1 and k=1 give [()], and one edge gives [(0,)]."""
     prefixes = [()]
-    for _ in range(nedges):
+    while len(prefixes) < workers and k > 1 and len(prefixes[0]) < nedges:
         prefixes = [p + (c,) for p in prefixes for c in range(min(max(p, default=-1) + 2, k))]
-        if len(prefixes) >= workers:
-            break
     return prefixes
 
 
@@ -343,11 +343,6 @@ def _check_search_args(n, m, kappa, k, node_budget):
             f"size limit: the pattern table would hold {k}^{npairs} entries, "
             f"more than 2^24"
         )
-
-
-def _outcome(n, m, kappa, k, kind, colors, stats, workers):
-    coloring = EdgeColoring(n, k, colors) if colors is not None else None
-    return SearchOutcome(n, m, kappa, k, kind, coloring, stats, workers)
 
 
 def _next_result(results, procs):
@@ -387,9 +382,11 @@ def exists_avoiding_coloring(
     is no edge to color, and K_n is avoiding after 0 nodes.
 
     Symmetry breaking is color-first-use only.  A node budget turns
-    nontermination risk into an explicit "unknown" outcome.  With more
-    than one worker, top-level color prefixes are searched in parallel by
-    at most os.cpu_count() processes, and the search stops at the first
+    nontermination risk into an explicit "unknown" outcome.  The work is
+    split into the color prefixes of _prefixes(k, workers, C(n,2)).  One
+    prefix (workers=1, k=1 or n <= 2) means an in-process search, whose
+    outcome says "workers": 1.  Several are searched in parallel by at
+    most os.cpu_count() processes, and the search stops at the first
     prefix, in serial order, that finds an avoiding coloring.  The
     prefixes follow `workers`, not the process count, so the outcome does
     not depend on the machine: it is the serial kind and coloring, and the
@@ -401,16 +398,13 @@ def exists_avoiding_coloring(
     if workers > 1 and node_budget is not None:
         raise ValueError(f"a node budget needs workers=1, got workers={workers}")
     start = time.perf_counter()
-    nedges = n * (n - 1) // 2
+    prefixes = _prefixes(k, workers, n * (n - 1) // 2)
+    if len(prefixes) == 1:
+        return _backtrack(n, m, kappa, k, node_budget)[0]
 
-    if workers == 1 or nedges < 3:
-        [(kind, colors, stats)] = _backtrack(n, m, kappa, k, node_budget)
-        return _outcome(n, m, kappa, k, kind, colors, stats, 1)
-
-    prefixes = _prefixes(k, workers, nedges)
     args = [(n, m, kappa, k, None, p) for p in prefixes]
     total = SearchStats()
-    best_kind, best_colors = EXHAUSTED, None
+    kind, coloring = EXHAUSTED, None
     # imap yields in prefix order, which is the serial DFS order, so the
     # first avoiding prefix holds the serial search's coloring; leaving the
     # with block terminates the workers still searching later prefixes,
@@ -421,14 +415,14 @@ def exists_avoiding_coloring(
         procs = set(multiprocessing.active_children()) - before
         results = pool.imap(_worker, args)
         for _ in args:
-            kind, colors, stats = _next_result(results, procs)
-            total.nodes += stats.nodes
-            total.forbidden_prunes += stats.forbidden_prunes
-            if kind == AVOIDING:
-                best_kind, best_colors = AVOIDING, colors
+            o = _next_result(results, procs)
+            total.nodes += o.stats.nodes
+            total.forbidden_prunes += o.stats.forbidden_prunes
+            if o.kind == AVOIDING:
+                kind, coloring = AVOIDING, o.coloring
                 break
     total.wall_time = time.perf_counter() - start
-    return _outcome(n, m, kappa, k, best_kind, best_colors, total, workers)
+    return SearchOutcome(n, m, kappa, k, kind, coloring, total, workers)
 
 
 @dataclass
@@ -477,12 +471,7 @@ def ramsey_number(
     if n_max < m:
         raise ValueError("need n_max >= m")
     _check_search_args(n_max, m, kappa, k, node_budget)
-    searched = [
-        _outcome(n, m, kappa, k, kind, colors, stats, 1)
-        for n, (kind, colors, stats) in enumerate(
-            _backtrack(n_max, m, kappa, k, node_budget, start=m), m
-        )
-    ]
+    searched = _backtrack(n_max, m, kappa, k, node_budget, start=m)
     outcomes = {o.n: o for o in searched}
     last = searched[-1]
     if last.kind == EXHAUSTED:

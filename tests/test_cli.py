@@ -182,6 +182,12 @@ def test_coloring_sierpinski_of_length_zero(tmp_path):
     assert out.read_text().split() == ["1", "0"]
 
 
+def test_coloring_sierpinski_of_negative_length(tmp_path, capsys):
+    code, _ = run(tmp_path, "coloring", "sierpinski", "--length", "-1")
+    assert code == 2
+    assert capsys.readouterr().err == "error: need length >= 0, got -1\n"
+
+
 def _two_pentagons_model(tmp_path):
     from hcramsey.satbridge import coloring_to_literals, emit_cnf
 

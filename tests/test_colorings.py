@@ -62,6 +62,11 @@ class TestSierpinskiColoring:
         # format(0, "00b") is "0", so full(0) used to raise.
         assert BitstringFamily.full(0).strings == ("",)
 
+    def test_full_of_negative_length_names_the_length(self):
+        # itertools.product said "repeat argument cannot be negative".
+        with pytest.raises(ValueError, match=r"^need length >= 0, got -1$"):
+            BitstringFamily.full(-1)
+
     @pytest.mark.parametrize("length", range(1, 6))
     def test_full_is_binary_counting_order(self, length):
         assert BitstringFamily.full(length).strings == tuple(

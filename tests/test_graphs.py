@@ -6,6 +6,8 @@ import re
 import pytest
 from hypothesis import given, settings
 
+import hcramsey.graphs as graphs_module
+
 from hcramsey.graphs import (
     CERTIFICATE_CACHE_SIZE,
     EdgeColoring,
@@ -259,6 +261,22 @@ class TestCertificates:
         info = _connectivity_certificate.cache_info()
         assert info.maxsize == CERTIFICATE_CACHE_SIZE
         assert info.currsize == CERTIFICATE_CACHE_SIZE
+
+    def test_a_pair_with_no_path_ends_the_scan(self, monkeypatch):
+        # The lexicographically first pair of value 0 is the certificate, so
+        # the edgeless graph on 50 vertices needs one flow, not C(50, 2).
+        calls = []
+        flow = graphs_module._max_disjoint_paths
+
+        def counting(*args):
+            calls.append(args[1:])
+            return flow(*args)
+
+        monkeypatch.setattr(graphs_module, "_max_disjoint_paths", counting)
+        _connectivity_certificate.cache_clear()
+        assert vertex_connectivity(Graph(50, frozenset())) == 0
+        assert calls == [(0, 1)]
+        assert _connectivity_certificate(50, 0)[:2] == (0, (0, 1))
 
 
 @given(graph_strategy(max_n=7))

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 import itertools
 import multiprocessing
 import os
@@ -31,6 +32,7 @@ from hcramsey.search import (
     PATTERN_LIMIT,
     UNKNOWN,
     SearchOutcome,
+    _prefixes,
     arrow_check,
     enumerate_all_colorings,
     exists_avoiding_coloring,
@@ -306,10 +308,18 @@ class TestExistsAvoidingColoring:
         for kappa in (1, 2, 3):
             assert exists_avoiding_coloring(6, 3, kappa, 2).kind == EXHAUSTED
 
-    def test_outcome_json_round_trip(self):
-        out = exists_avoiding_coloring(5, 3, 3, 2)
-        back = SearchOutcome.from_json_dict(out.to_json_dict())
-        assert back.kind == out.kind and back.coloring == out.coloring
+    @pytest.mark.parametrize("records", [
+        lambda: [exists_avoiding_coloring(5, 3, 3, 2)],
+        lambda: [exists_avoiding_coloring(6, 3, 3, 2)],
+        lambda: [exists_avoiding_coloring(6, 3, 3, 2, node_budget=3)],
+        lambda: [exists_avoiding_coloring(6, 3, 3, 2, workers=2)],
+        lambda: list(ramsey_number(3, 2, 3, 14, node_budget=3_000).outcomes.values()),
+    ], ids=["avoiding", "exhausted", "unknown", "workers-2", "sweep"])
+    def test_outcome_json_round_trip(self, records):
+        # A manifest line must give back the record it was written from.
+        for out in records():
+            data = json.loads(json.dumps(out.to_json_dict()))
+            assert SearchOutcome.from_json_dict(data) == out
 
 
 # (n, m, kappa, k) -> (kind, nodes, forbidden_prunes).  Any way of checking
@@ -475,6 +485,47 @@ def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind
     assert sizes == [cpus]
     assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
     assert multiprocessing.active_children() == []
+
+
+def test_one_worker_or_one_color_gives_one_empty_prefix():
+    # One color used to extend the prefix over every edge, never reaching
+    # two prefixes: K_400 took 81 s with workers=2.
+    assert _prefixes(1, 2, 10) == [()]
+    assert _prefixes(2, 1, 10) == [()]
+    assert _prefixes(3, 4, 1) == [(0,)]
+    assert _prefixes(3, 4, 0) == [()]
+
+
+# (k, workers) -> the prefixes over 10 edges, pinned from the split that
+# ran only for k >= 2 and workers >= 2.
+PINNED_PREFIXES = {
+    (2, 2): [(0, 0), (0, 1)],
+    (2, 3): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)],
+    (2, 4): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)],
+    (2, 5): [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
+             (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)],
+    **{(k, 2): [(0, 0), (0, 1)] for k in (3, 4)},
+    **{(k, w): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+       for k in (3, 4) for w in (3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("k, workers", sorted(PINNED_PREFIXES))
+def test_prefixes_are_pinned(k, workers):
+    assert _prefixes(k, workers, 10) == PINNED_PREFIXES[k, workers]
+
+
+@pytest.mark.parametrize("n, m, kappa, k, kind, nodes", [
+    (2000, 3, 1, 1, EXHAUSTED, 3),  # one color
+    (2, 3, 2, 2, AVOIDING, 1),  # one edge
+])
+def test_one_prefix_is_searched_in_process(monkeypatch, n, m, kappa, k, kind, nodes):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    out = exists_avoiding_coloring(n, m, kappa, k, workers=2)
+    assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, 1)
 
 
 def test_negative_n_is_refused_before_building_a_table(monkeypatch):
