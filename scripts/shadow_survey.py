@@ -2,9 +2,10 @@
 """Survey the two explicit avoiding constructions at small finite scale.
 
 Part 1: first-difference colorings of the full bitstring family of each
-length, checked for monochromatic triangles and for 3-connected
-monochromatic triples, plus the same checks over shuffled enumeration
-orders (the construction should not care about the order).
+length, each checked once for a 3-connected monochromatic triple (on
+three vertices that is a monochromatic triangle), over the counting order
+and shuffled enumeration orders (the construction should not care about
+the order).
 
 Part 2: spanning-path partitions of K_n for even n, checked to be forest
 color classes partitioning the edge set with no 2-connected monochromatic
@@ -23,11 +24,10 @@ import sys
 
 from hcramsey.colorings import (
     BitstringFamily,
-    check_sierpinski_triangle_free,
     forest_partition_coloring,
     sierpinski_coloring,
 )
-from hcramsey.graphs import all_pairs, is_forest
+from hcramsey.graphs import all_pairs, induced_color_graph, is_forest
 from hcramsey.search import arrow_check
 
 
@@ -50,13 +50,10 @@ def main(argv=None) -> int:
             shuffled = base[:]
             rng.shuffle(shuffled)
             orders.append(tuple(shuffled))
-        clean = 0
-        for strings in orders:
-            fam = BitstringFamily(length, strings)
-            c = sierpinski_coloring(fam)
-            no_triple = c.n < 3 or arrow_check(c, 3, 3) is None
-            if check_sierpinski_triangle_free(fam) and no_triple:
-                clean += 1
+        clean = sum(
+            arrow_check(sierpinski_coloring(BitstringFamily(length, strings)), 3, 3) is None
+            for strings in orders
+        )
         dirty |= clean < len(orders)
         print(f"{length:>7} {len(base):>7} {2 * length:>7} "
               f"{len(orders):>7} {clean:>6}/{len(orders)}")
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
     print(f"{'n':>4} {'colors':>7} {'forests':>8} {'partition':>10} {'no-triple':>10}")
     for n in range(4, args.max_n + 1, 2):
         c = forest_partition_coloring(n)
-        classes = [c.color_class(xi) for xi in range(c.k)]
+        classes = [induced_color_graph(c, xi, range(n)).graph for xi in range(c.k)]
         forests = all(is_forest(g) for g in classes)
         covered = set()
         for g in classes:

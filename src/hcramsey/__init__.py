@@ -22,7 +22,6 @@ from .colorings import (  # noqa: F401
     BitstringFamily,
     DeltaSystemReport,
     blowup_coloring,
-    check_sierpinski_triangle_free,
     common_neighbor_certify,
     forest_partition_coloring,
     is_subadditive,

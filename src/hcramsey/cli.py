@@ -135,10 +135,11 @@ def cmd_connectivity(args):
             "paths": [list(p) for p in verdict.paths],
         }
     else:
+        connected = is_connected(g)
         kappa = vertex_connectivity(g) if g.n > 0 else 0
-        print(f"connected: {is_connected(g)}")
+        print(f"connected: {connected}")
         print(f"vertex_connectivity: {kappa}")
-        outcome = {"connected": is_connected(g), "vertex_connectivity": kappa}
+        outcome = {"connected": connected, "vertex_connectivity": kappa}
     return outcome, EXIT_OK
 
 
@@ -280,7 +281,6 @@ def cmd_delta_mine(args):
         "col_roots": {str(b): sorted(r) if r is not None else None
                       for b, r in report.col_roots.items()},
         "union_root": sorted(report.union_root),
-        "residues_disjoint": report.residues_disjoint,
         "root_sizes_uniform": report.root_sizes_uniform,
     }
     print(json.dumps(outcome, sort_keys=True, indent=2))

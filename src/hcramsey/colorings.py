@@ -5,22 +5,20 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .graphs import (
     EdgeColoring,
     InputFormatError,
+    _adj_masks,
     all_pairs,
+    induced_color_graph,
     pair_key,
     read_records,
 )
 
 DELTA_MINER_SIZE_LIMIT = 10
-
-# An OrderedColoring is an EdgeColoring whose colors carry the natural
-# order 0 < 1 < ... < k-1; nothing extra is stored.
-OrderedColoring = EdgeColoring
 
 
 @dataclass(frozen=True)
@@ -33,6 +31,8 @@ class BitstringFamily:
     strings: tuple
 
     def __post_init__(self):
+        if self.length < 0:
+            raise ValueError(f"need length >= 0, got {self.length}")
         object.__setattr__(self, "strings", tuple(self.strings))
         for s in self.strings:
             if len(s) != self.length or any(ch not in "01" for ch in s):
@@ -42,10 +42,10 @@ class BitstringFamily:
 
     @classmethod
     def full(cls, length) -> "BitstringFamily":
-        """All 2^length strings in binary counting order; full(0) is ("",)."""
-        if length < 0:
-            raise ValueError(f"need length >= 0, got {length}")
-        return cls(length, tuple("".join(s) for s in itertools.product("01", repeat=length)))
+        """All 2^length strings in binary counting order; full(0) is ("",).
+        The constructor refuses a negative length."""
+        strings = itertools.product("01", repeat=max(length, 0))
+        return cls(length, tuple(map("".join, strings)))
 
     def size(self) -> int:
         return len(self.strings)
@@ -69,18 +69,6 @@ def sierpinski_coloring(family: BitstringFamily) -> EdgeColoring:
         bit = int(family.strings[a][d])
         colors.append(2 * d + bit)
     return EdgeColoring(n, 2 * family.length, tuple(colors))
-
-
-def check_sierpinski_triangle_free(family: BitstringFamily) -> bool:
-    """Exhaustive triple scan for a monochromatic triangle in the
-    first-difference coloring.  Always true (an edge of color (d, i)
-    pins the lower endpoint's bit at d to i and the upper's to 1-i),
-    so this doubles as a self-test."""
-    c = sierpinski_coloring(family)
-    for a, b, g in itertools.combinations(range(c.n), 3):
-        if c.color_of(a, b) == c.color_of(a, g) == c.color_of(b, g):
-            return False
-    return True
 
 
 def forest_partition_coloring(n: int) -> EdgeColoring:
@@ -146,7 +134,7 @@ class SubadditivityViolation(NamedTuple):
     inequality: int  # 1 or 2
 
 
-def subadditivity_violation(c: OrderedColoring):
+def subadditivity_violation(c: EdgeColoring):
     """Lexicographically first triple violating either
     (1) c(a,b) <= max(c(a,g), c(b,g)) or
     (2) c(a,g) <= max(c(a,b), c(b,g)),
@@ -160,7 +148,7 @@ def subadditivity_violation(c: OrderedColoring):
     return None
 
 
-def is_subadditive(c: OrderedColoring) -> bool:
+def is_subadditive(c: EdgeColoring) -> bool:
     return subadditivity_violation(c) is None
 
 
@@ -169,18 +157,17 @@ class TreeOrder(NamedTuple):
     valid: bool  # strict predecessors of each vertex are linearly ordered
 
 
-def tree_order(c: OrderedColoring, xi: int) -> TreeOrder:
+def tree_order(c: EdgeColoring, xi: int) -> TreeOrder:
     """The relation {(a, b) : a < b and c(a, b) <= xi}, together with the
     check that each vertex's predecessors form a chain."""
     if not is_subadditive(c):
         raise ValueError("not subadditive")
-    relation = frozenset((a, b) for a, b in all_pairs(c.n) if c.color_of(a, b) <= xi)
-    valid = True
-    for b in range(c.n):
-        preds = sorted(a for a, bb in relation if bb == b)
-        for a1, a2 in itertools.combinations(preds, 2):
-            if (a1, a2) not in relation:
-                valid = False
+    pairs = [p for p, col in zip(all_pairs(c.n), c.colors) if col <= xi]
+    relation = frozenset(pairs)
+    preds = [[] for _ in range(c.n)]
+    for a, b in pairs:
+        preds[b].append(a)
+    valid = all(pair in relation for p in preds for pair in itertools.combinations(p, 2))
     return TreeOrder(relation, valid)
 
 
@@ -191,41 +178,36 @@ class ConfinementCounterexample(NamedTuple):
     max_color: int
 
 
-def path_confinement_counterexample(c: OrderedColoring):
+def path_confinement_counterexample(c: EdgeColoring):
     """Search any coloring for a path a = v0, ..., vj+1 = b whose internal
     vertices all exceed a and whose max edge color is below c(a, b).
     Returns None when every such path is confined (as in the subadditive
     case), else the first counterexample found.
 
     Works by raising a color threshold and BFS-ing the subgraph of edges
-    with color <= threshold among vertices >= a.
+    with color <= threshold among vertices >= a; a reached b with c(a, b)
+    above the threshold is a counterexample.  Reachability only grows with
+    the threshold, so such a b is found at the first threshold reaching it.
     """
     for a in range(c.n):
-        reached_at = {}
         for xi in range(c.k):
             parent = {a: None}
             queue = [a]
-            while queue:
-                v = queue.pop(0)
+            for v in queue:
                 for w in range(a, c.n):
-                    if w != v and w not in parent and c.color_of(v, w) <= xi:
+                    if w not in parent and c.color_of(v, w) <= xi:
                         parent[w] = v
                         queue.append(w)
             for b in range(a + 1, c.n):
-                if b in parent and b not in reached_at:
-                    reached_at[b] = xi
-                    if c.color_of(a, b) > xi:
-                        path = []
-                        v = b
-                        while v is not None:
-                            path.append(v)
-                            v = parent[v]
-                        path.reverse()
-                        return ConfinementCounterexample(a, b, tuple(path), xi)
+                if b in parent and c.color_of(a, b) > xi:
+                    path = [b]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return ConfinementCounterexample(a, b, tuple(reversed(path)), xi)
     return None
 
 
-def path_confinement_check(c: OrderedColoring) -> bool:
+def path_confinement_check(c: EdgeColoring) -> bool:
     if not is_subadditive(c):
         raise ValueError("not subadditive")
     return path_confinement_counterexample(c) is None
@@ -235,20 +217,12 @@ def common_neighbor_certify(c: EdgeColoring, vertices, i: int, kappa: int) -> bo
     """Sufficient condition for the color-i graph on the given set to be
     kappa-connected: every pair has >= kappa common color-i neighbors
     inside the set."""
-    vs = sorted(set(vertices))
-    if len(vs) < 2:
+    g = induced_color_graph(c, i, vertices).graph
+    if g.n < 2:
         raise ValueError("need at least 2 vertices")
-    if not 0 <= i < c.k:
-        raise ValueError(f"color {i} out of range for k={c.k}")
-    for a, b in itertools.combinations(vs, 2):
-        common = sum(
-            1
-            for g in vs
-            if g not in (a, b) and c.color_of(a, g) == i and c.color_of(b, g) == i
-        )
-        if common < kappa:
-            return False
-    return True
+    adj = _adj_masks(g)
+    pairs = itertools.combinations(range(g.n), 2)
+    return all((adj[a] & adj[b]).bit_count() >= kappa for a, b in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +240,6 @@ class DeltaSystemReport:
     row_roots: Mapping  # alpha -> frozenset | None
     col_roots: Mapping  # beta -> frozenset | None
     union_root: frozenset  # root of the family {row_root | col_root}
-    residues_disjoint: bool
     root_sizes_uniform: bool  # reported, not required
 
 
@@ -309,22 +282,17 @@ def _check_delta_candidate(family, members: tuple):
     unions = [
         (row_roots[a] or frozenset()) | (col_roots[a] or frozenset()) for a in members
     ]
-    if len(unions) >= 2:
-        union_root = _indexed_delta_root(unions)
-        if union_root is None:
-            return None
-    else:
-        union_root = unions[0] if unions else frozenset()
+    union_root = _indexed_delta_root(unions) if len(unions) >= 2 else unions[0]
+    if union_root is None:
+        return None
 
-    residues = []
-    for a, b in itertools.combinations(members, 2):
-        res = family[(a, b)] - (
-            (row_roots[a] or frozenset()) | (col_roots[b] or frozenset())
-        )
-        residues.append(res)
-    for x, y in itertools.combinations(residues, 2):
-        if x & y:
-            return None
+    residues = [
+        family[(a, b)] - ((row_roots[a] or frozenset()) | (col_roots[b] or frozenset()))
+        for a, b in itertools.combinations(members, 2)
+    ]
+    # Pairwise disjoint exactly when no member is counted twice.
+    if sum(map(len, residues)) != len(frozenset().union(*residues)):
+        return None
 
     uniform = all(
         len({len(r) for r in roots.values() if r is not None}) <= 1
@@ -335,7 +303,6 @@ def _check_delta_candidate(family, members: tuple):
         row_roots=row_roots,
         col_roots=col_roots,
         union_root=union_root,
-        residues_disjoint=True,
         root_sizes_uniform=uniform,
     )
 

@@ -163,6 +163,8 @@ class EdgeColoring:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("negative vertex count")
+        if self.k < 0:
+            raise ValueError("negative color count")
         object.__setattr__(self, "colors", tuple(self.colors))
         npairs = self.n * (self.n - 1) // 2
         if len(self.colors) != npairs:
@@ -185,10 +187,6 @@ class EdgeColoring:
     def color_of(self, u, v) -> int:
         u, v = pair_key(u, v)
         return self.colors[pair_index(self.n, u, v)]
-
-    def color_class(self, xi) -> Graph:
-        """The graph on all n vertices whose edges carry color xi."""
-        return Graph.from_mask(self.n, sum(1 << i for i, c in enumerate(self.colors) if c == xi))
 
 
 class InducedSubgraph(NamedTuple):

@@ -129,7 +129,8 @@ def minimal_connected_graphs(m: int, kappa: int) -> ForbiddenList:
 
 def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     """First witness (subsets lexicographic, colors ascending) of a
-    monochromatic kappa-connected subgraph of the stated size, or None.
+    monochromatic kappa-connected subgraph of the stated size, or None
+    (always when m > n: no m-set exists).
 
     "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  Each
     subset's colors are read once, into one edge mask per color.  A
@@ -138,10 +139,12 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     min(kappa, s-1) is rejected without a connectivity decision; on at most
     kappa+1 vertices the bound is exact (only complete classes pass).
     """
-    if not 1 <= m <= c.n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={c.n}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     if mode not in ("exact", "atLeast"):
         raise ValueError(f"unknown mode {mode!r}")
+    if m > c.n:
+        return None
     sizes = [m] if mode == "exact" else range(m, c.n + 1)
     for size in sizes:
         need = min(kappa, size - 1)

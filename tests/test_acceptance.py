@@ -9,7 +9,6 @@ import time
 
 from hcramsey.colorings import (
     BitstringFamily,
-    check_sierpinski_triangle_free,
     common_neighbor_certify,
     forest_partition_coloring,
     is_subadditive,
@@ -100,7 +99,6 @@ def test_criterion_4_sierpinski_shadow():
             orders.append(tuple(shuffled))
         for strings in orders:
             fam = BitstringFamily(length, strings)
-            assert check_sierpinski_triangle_free(fam)
             assert arrow_check(sierpinski_coloring(fam), 3, 3, "exact") is None
             cases += 1
     print(f"ACCEPTANCE 4 PASS: first-difference coloring triangle-free and "
@@ -113,7 +111,7 @@ def test_criterion_5_forest_partition_shadow():
         assert c.k == n // 2
         seen = set()
         for xi in range(c.k):
-            cls = c.color_class(xi)
+            cls = induced_color_graph(c, xi, range(n)).graph
             assert is_forest(cls)
             assert not seen & cls.edges
             seen |= cls.edges

@@ -209,6 +209,18 @@ def test_cnf_and_verify_model_round_trip(tmp_path, capsys):
     assert "avoiding" in capsys.readouterr().out
 
 
+def test_verify_model_accepts_a_model_with_m_above_n(tmp_path, capsys):
+    # K_3 has no 4-set, so every coloring avoids; arrow_check refused m > n.
+    cnf, model = tmp_path / "i.cnf", tmp_path / "model.txt"
+    code, _ = run(tmp_path, "cnf", "--n", "3", "--m", "4", "--kappa", "1",
+                  "--colors", "2", "--out", str(cnf))
+    assert code == 0
+    model.write_text("v 1 -2 3 -4 5 -6 0\n")
+    code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
+    assert code == 0
+    assert capsys.readouterr().out == "model decodes to an avoiding coloring\n"
+
+
 def test_verify_model_catches_bad_model(tmp_path, capsys):
     cnf = tmp_path / "i.cnf"
     run(tmp_path, "cnf", "--n", "3", "--m", "3", "--kappa", "1", "--colors", "1",

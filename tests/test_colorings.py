@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hcramsey.colorings import (
     BitstringFamily,
     blowup_coloring,
-    check_sierpinski_triangle_free,
     common_neighbor_certify,
     first_difference,
     forest_partition_coloring,
@@ -73,13 +73,18 @@ class TestSierpinskiColoring:
             format(i, f"0{length}b") for i in range(2**length)
         )
 
+    def test_negative_length_refused(self):
+        with pytest.raises(ValueError, match=r"^need length >= 0, got -1$"):
+            BitstringFamily(-1, ())
+
     def test_triangle_free_full_families(self):
-        assert check_sierpinski_triangle_free(BitstringFamily.full(2))
-        assert check_sierpinski_triangle_free(BitstringFamily.full(3))
+        # On 3 vertices, 2-connected means a triangle.
+        assert arrow_check(sierpinski_coloring(BitstringFamily.full(2)), 2, 3) is None
+        assert arrow_check(sierpinski_coloring(BitstringFamily.full(3)), 2, 3) is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_triangle_free_random_orders(self, seed):
-        assert check_sierpinski_triangle_free(shuffled_family(3, seed))
+        assert arrow_check(sierpinski_coloring(shuffled_family(3, seed)), 2, 3) is None
 
     @pytest.mark.parametrize("length", [2, 3, 4])
     def test_no_monochromatic_triangle_any_color(self, length):
@@ -109,7 +114,7 @@ class TestForestPartition:
         assert c.k == n // 2
         total = 0
         for xi in range(c.k):
-            cls = c.color_class(xi)
+            cls = induced_color_graph(c, xi, range(n)).graph
             assert is_forest(cls)
             assert len(cls.edges) == n - 1
             total += len(cls.edges)
@@ -240,7 +245,7 @@ class TestCommonNeighborCertify:
             4, 2, {p: (0 if p in cycle else 1) for p in all_pairs(4)}
         )
         assert not common_neighbor_certify(c, range(4), 0, 1)
-        assert is_kappa_connected(c.color_class(0), 2)[0]
+        assert is_kappa_connected(induced_color_graph(c, 0, range(4)).graph, 2)[0]
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -277,7 +282,6 @@ class TestDeltaMiner:
         assert report.B == (0, 1, 2, 3, 4)
         assert report.row_roots[0] == frozenset({0})
         assert report.col_roots[4] == frozenset({4})
-        assert report.residues_disjoint
 
     def test_constant_family(self):
         family = {p: {9} for p in all_pairs(4)}
@@ -313,6 +317,53 @@ class TestDeltaMiner:
     def test_missing_pair(self):
         with pytest.raises(ValueError, match="missing pair"):
             mine_delta_system({(0, 1): {1}}, 3, 2)
+
+
+def _checker_outputs():
+    """The structural checkers' answers on seeded inputs: most random
+    colorings are not subadditive, so counterexample paths are exercised;
+    the Delta-system families are those of TestDeltaMiner."""
+    rng = random.Random(1814)
+    for n in range(3, 9):
+        for k in range(1, 4):
+            for seed in range(10):
+                c = random_coloring(n, k, seed)
+                vs = tuple(sorted(rng.sample(range(n), rng.randrange(2, n + 1))))
+                i, kappa = rng.randrange(k), rng.randrange(1, 4)
+                yield (
+                    subadditivity_violation(c),
+                    path_confinement_counterexample(c),
+                    common_neighbor_certify(c, vs, i, kappa),
+                )
+    for n in range(3, 7):
+        for c in (monotone_coloring(n, rng), sample_subadditive(n, rng.randrange(2, 4), rng)):
+            for xi in range(c.k):
+                order = tree_order(c, xi)
+                yield sorted(order.relation), order.valid
+
+    def roots(r):
+        return {key: None if s is None else sorted(s) for key, s in r.items()}
+
+    for family, n, size in [
+        ({(a, b): {a, b} for a, b in all_pairs(5)}, 5, 5),
+        ({p: {9} for p in all_pairs(4)}, 4, 4),
+        ({(0, 1): {0, 1}, (0, 2): {0, 7}, (1, 2): {1, 7}}, 3, 3),
+        ({p: {10 * i} for i, p in enumerate(all_pairs(4))}, 4, 3),
+        ({(a, b): {a, b} for a, b in all_pairs(4)}, 4, 3),
+    ]:
+        r = mine_delta_system(family, n, size)
+        yield r and (
+            r.B, roots(r.row_roots), roots(r.col_roots), sorted(r.union_root),
+            r.root_sizes_uniform,
+        )
+
+
+def test_checker_outputs_are_pinned():
+    outputs = list(_checker_outputs())
+    assert len(outputs) == 215
+    assert sum(out[1] is not None for out in outputs[:180]) == 100
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "30ce6c161ed99dc1ed0e2e388be5aa884ab8ee46b019b2700c617259d82e2296"
 
 
 class TestColoringTextFormat:

@@ -72,6 +72,12 @@ def test_edge_coloring_refuses_a_negative_vertex_count():
         EdgeColoring(-1, 2, (0,))
 
 
+def test_edge_coloring_refuses_a_negative_color_count():
+    # No pairs to color, so no color was checked against k.
+    with pytest.raises(ValueError, match="negative color count"):
+        EdgeColoring.constant(1, -3)
+
+
 class TestIsConnected:
     def test_path(self):
         assert is_connected(Graph.path(3))

@@ -130,8 +130,11 @@ class TestArrowCheck:
         assert w is not None and len(w.vertices) == 3
 
     def test_bad_m(self):
-        with pytest.raises(ValueError):
-            arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4)
+        with pytest.raises(ValueError, match="need m >= 1, got m=0"):
+            arrow_check(EdgeColoring.constant(3, 1, 0), 1, 0)
+        # No 4-set exists in K_3, so there is no witness.
+        assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4) is None
+        assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4, "atLeast") is None
 
     def test_witness_reverified_by_oracle(self):
         rng = random.Random(5)
