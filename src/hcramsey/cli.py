@@ -79,12 +79,10 @@ def outcome_digest(outcome) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def append_manifest(store_path, command, params, seed, workers, wall_time, outcome):
+def append_manifest(store_path, command, params, wall_time, outcome):
     manifest = {
         "command": command,
         "params": params,
-        "seed": seed,
-        "workers": workers,
         "tool_version": __version__,
         "wall_time": wall_time,
         "outcome": outcome,
@@ -380,10 +378,7 @@ def main(argv=None) -> int:
             for key, value in vars(args).items()
             if key not in ("func", "store", "command") and value is not None
         }
-        append_manifest(
-            args.store, args.command, params, args.seed,
-            getattr(args, "workers", 1), wall_time, outcome,
-        )
+        append_manifest(args.store, args.command, params, wall_time, outcome)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -227,91 +227,85 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     from start, ending at n or at the first j that is not avoiding; each
     says "workers": 1, and its stats.wall_time is the time from the call to
     that j's decision.
+
+    The loop has two parts.  Reach, at position 0 and after each color that
+    passes, reads off every K_j now colored (K_0 and K_1 as well), lists
+    the m-sets a position completes the first time it gets there, and sets
+    the position's colors to try.  Try counts one node per color and checks
+    the completed m-sets: a pass goes on to reach the next position, and
+    when the colors run out it backs up a position.
     """
     t0 = time.perf_counter()
     j = n if start is None else start
     bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
-    plen = len(prefix)
-    # checks[pos]: the m-sets completed at position pos, each as the colex
-    # positions of its pairs from the last lexicographic pair to the first,
-    # the order in which the Horner loop reads them.  Each per-position list
-    # holds the positions reached plus the next one, and grows by one entry
-    # when the loop first reaches a position.
-    checks = [None]
-    colors = [0]  # by colex position
-    nxt = [0]  # next color to try at each position
-    lim = [0]  # one past the last color to try
-    used = [0]  # colors used before each position
+    # One entry per position reached.  checks[pos]: the m-sets completed at
+    # pos, each as the colex positions of its pairs from the last
+    # lexicographic pair to the first, the order in which the Horner loop
+    # reads them.  colors[pos]: the color last tried at pos, one below the
+    # first before any.  lim[pos]: one past the last color to try.
+    # used[pos]: the colors used before pos.
+    checks, colors, lim, used = [], [], [], []
     outcomes = []
-    nodes = prunes = pos = 0
+    nodes = prunes = pos = seen = 0
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
-    goal = j * (j - 1) // 2
-    while goal == 0:  # K_0 and K_1 have no edges
-        outcomes.append(_avoiding(j, m, kappa, k, colors, nodes, prunes, t0))
-        if j == n:
-            return outcomes
-        j += 1
-        goal = j * (j - 1) // 2
-    nxt[0], lim[0] = (prefix[0], prefix[0] + 1) if plen else (0, 1)
-    while True:
-        col = nxt[pos]
-        if col == lim[pos]:
-            if pos == 0:
-                kind = EXHAUSTED
-                break
-            pos -= 1
-            continue
-        nxt[pos] = col + 1
-        nodes += 1
-        if nodes > budget:
-            kind = UNKNOWN
-            break
-        colors[pos] = col
-        sets = checks[pos]
-        if sets is None:
+    kind = None
+    while kind is None:
+        # Reach pos, with `seen` colors used before it.
+        while pos == j * (j - 1) // 2:
+            coloring = tuple(colors[b * (b - 1) // 2 + a] for a, b in all_pairs(j))
+            stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
+            outcomes.append(SearchOutcome(
+                j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats,
+            ))
+            if j == n:
+                return outcomes
+            j += 1
+        if pos == len(checks):
             u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
-            sets = checks[pos] = [
+            checks.append([
                 [b * (b - 1) // 2 + a
                  for a, b in itertools.combinations(rest + (u, v), 2)][::-1]
                 for rest in itertools.combinations(range(u), m - 2)
-            ]
-            checks.append(None)
-            for state in (colors, nxt, lim, used):
-                state.append(0)
-        # Every color, not only the new edge's: a subset completed here can
-        # be kappa-connected in a color the new edge does not carry.
-        for idxs in sets:
-            p = 0
-            for i in idxs:
-                p = p * k + colors[i]
-            if bad[p]:
-                prunes += 1
-                break
+            ])
+            colors.append(0)
+            lim.append(0)
+            used.append(0)
+        if pos < len(prefix):
+            colors[pos], lim[pos] = prefix[pos] - 1, prefix[pos] + 1
         else:
-            pos += 1
-            if pos == goal:
-                outcomes.append(_avoiding(j, m, kappa, k, colors, nodes, prunes, t0))
-                if j == n:
-                    return outcomes
-                j += 1
-                goal = j * (j - 1) // 2
-            used[pos] = seen = max(used[pos - 1], col + 1)
-            if pos < plen:
-                nxt[pos], lim[pos] = prefix[pos], prefix[pos] + 1
+            colors[pos], lim[pos] = -1, min(seen + 1, k)
+        used[pos] = seen
+        # Try the colors at pos, backing up a position when they run out.
+        while True:
+            col = colors[pos] + 1
+            if col == lim[pos]:
+                if pos == 0:
+                    kind = EXHAUSTED
+                    break
+                pos -= 1
+                continue
+            colors[pos] = col
+            nodes += 1
+            if nodes > budget:
+                kind = UNKNOWN
+                break
+            # Every color, not only the new edge's: a subset completed here
+            # can be kappa-connected in a color the new edge does not carry.
+            for idxs in checks[pos]:
+                p = 0
+                for i in idxs:
+                    p = p * k + colors[i]
+                if bad[p]:
+                    prunes += 1
+                    break
             else:
-                nxt[pos], lim[pos] = 0, min(seen + 1, k)
+                seen = max(used[pos], col + 1)
+                pos += 1
+                break
     stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
     outcomes.append(SearchOutcome(j, m, kappa, k, kind, None, stats))
     return outcomes
-
-
-def _avoiding(j, m, kappa, k, colors, nodes, prunes, t0):
-    """K_j's avoiding outcome, read off the colex colors of a search that
-    has just colored K_j's edges."""
-    coloring = tuple(colors[v * (v - 1) // 2 + u] for u, v in all_pairs(j))
-    stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
-    return SearchOutcome(j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats)
 
 
 def _prefixes(k: int, workers: int, nedges: int):
@@ -329,11 +323,9 @@ def _worker(args):
     return _backtrack(*args)[0]
 
 
-def _check_search_args(n, m, kappa, k, node_budget):
+def _check_search_args(m, kappa, k, node_budget):
     """The argument checks shared by exists_avoiding_coloring and
     ramsey_number, made before any table is built."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
     if m < 2 or kappa < 1 or k < 1:
@@ -395,7 +387,9 @@ def exists_avoiding_coloring(
     not depend on the machine: it is the serial kind and coloring, and the
     stats add up the prefixes up to and including that one.
     """
-    _check_search_args(n, m, kappa, k, node_budget)
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    _check_search_args(m, kappa, k, node_budget)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got workers={workers}")
     if workers > 1 and node_budget is not None:
@@ -471,9 +465,9 @@ def ramsey_number(
     from the start of the search to that n's decision, so it never
     decreases with n.
     """
+    _check_search_args(m, kappa, k, node_budget)
     if n_max < m:
         raise ValueError("need n_max >= m")
-    _check_search_args(n_max, m, kappa, k, node_budget)
     searched = _backtrack(n_max, m, kappa, k, node_budget, start=m)
     outcomes = {o.n: o for o in searched}
     last = searched[-1]

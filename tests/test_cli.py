@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hcramsey.cli import main, outcome_digest
+from hcramsey.cli import DEFAULT_SEED, main, outcome_digest
 from hcramsey.colorings import format_coloring_text, parse_coloring_text
 from hcramsey.graphs import Graph, format_graph_text
 
@@ -64,6 +64,21 @@ def test_number_manifest_digests_are_pinned(tmp_path, capsys, args, code, printe
     assert (got, capsys.readouterr().out.strip()) == (code, printed)
     (manifest,) = manifests(store)
     assert manifest["digest"][:16] == digest
+
+
+def test_manifest_records_seed_and_workers_once(tmp_path, capsys):
+    # The top-level "workers": 2 used to contradict the outcome's 1: one
+    # color is searched in process.
+    code, store = run(tmp_path, "search", "--n", "6", "--m", "3", "--kappa", "1",
+                      "--colors", "1", "--workers", "2")
+    assert code == 0
+    capsys.readouterr()
+    (manifest,) = manifests(store)
+    assert sorted(manifest) == [
+        "command", "digest", "outcome", "params", "tool_version", "wall_time",
+    ]
+    assert (manifest["params"]["seed"], manifest["params"]["workers"]) == (DEFAULT_SEED, 2)
+    assert (manifest["outcome"]["seed"], manifest["outcome"]["workers"]) == (DEFAULT_SEED, 1)
 
 
 def test_search_refuses_negative_n(tmp_path, capsys):
@@ -307,6 +322,18 @@ def test_search_refuses_m_above_the_table_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "connectivity tables cover m <= 7" in err
     assert "enumeration" not in err
+    assert not store.exists()
+
+
+def test_number_refuses_m_above_the_table_limit_before_n_max(tmp_path, capsys):
+    # The refusal used to say "need n_max >= m", where search names the size
+    # limit for the same m.
+    code, store = run(tmp_path, "number", "--m", "9", "--kappa", "1", "--colors", "2",
+                      "--nmax", "5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "size limit: connectivity tables cover m <= 7" in err
+    assert "n_max" not in err
     assert not store.exists()
 
 

@@ -32,6 +32,7 @@ from hcramsey.search import (
     PATTERN_LIMIT,
     UNKNOWN,
     SearchOutcome,
+    _backtrack,
     _prefixes,
     arrow_check,
     enumerate_all_colorings,
@@ -531,6 +532,53 @@ def test_one_prefix_is_searched_in_process(monkeypatch, n, m, kappa, k, kind, no
     assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, 1)
 
 
+# (n, m, kappa, k, workers) -> (kind, nodes, forbidden_prunes) of each prefix
+# of _prefixes(k, workers, C(n, 2)), searched in process.
+PINNED_PREFIX_COUNTS = {
+    (6, 6, 1, 2, 2): {
+        (0, 0): (EXHAUSTED, 16384, 8192),
+        (0, 1): (EXHAUSTED, 16384, 8192),
+    },
+    (7, 4, 2, 2, 3): {
+        (0, 0, 0): (EXHAUSTED, 261, 130),
+        (0, 0, 1): (EXHAUSTED, 473, 236),
+        (0, 1, 0): (EXHAUSTED, 473, 236),
+        (0, 1, 1): (EXHAUSTED, 473, 236),
+    },
+    (8, 5, 1, 3, 2): {
+        (0, 0): (AVOIDING, 1102, 723),
+        (0, 1): (AVOIDING, 1231, 810),
+    },
+}
+
+
+@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS))
+def test_prefix_counts_searched_in_process(n, m, kappa, k, workers):
+    got = {}
+    for prefix in _prefixes(k, workers, n * (n - 1) // 2):
+        (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix)
+        got[prefix] = (out.kind, out.stats.nodes, out.stats.forbidden_prunes)
+        if out.kind == AVOIDING:
+            assert arrow_check(out.coloring, kappa, m) is None
+    assert got == PINNED_PREFIX_COUNTS[n, m, kappa, k, workers]
+
+
+def test_every_j_is_read_off_at_one_site():
+    # K_0 and K_1 are read off at position 0 before any node, and every
+    # later K_j when the loop first colors all its edges.
+    got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
+           for o in _backtrack(7, 3, 3, 2, None, start=0)]
+    assert got == [
+        (0, AVOIDING, 0, 0),
+        (1, AVOIDING, 0, 0),
+        (2, AVOIDING, 1, 0),
+        (3, AVOIDING, 4, 1),
+        (4, AVOIDING, 12, 4),
+        (5, AVOIDING, 47, 21),
+        (6, EXHAUSTED, 325, 163),
+    ]
+
+
 def test_negative_n_is_refused_before_building_a_table(monkeypatch):
     # C(-3, 2) = 6: without the check the search colored six bogus edges.
     _refused_before_any_table(monkeypatch, "need n >= 0", -3, 2, 1, 2)
@@ -676,8 +724,10 @@ class TestRamseyNumber:
         assert r.status == UNKNOWN
 
     def test_nmax_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n_max >= m"):
             ramsey_number(4, 1, 2, 3)
+        with pytest.raises(ValueError, match="need n_max >= m"):
+            ramsey_number(4, 1, 2, -1)
 
 
 def test_enumeration_limit_counts_colorings():
