@@ -4,7 +4,6 @@ avoiding colorings, and computing finite connected Ramsey numbers."""
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,6 +26,8 @@ PATTERN_LIMIT = 1 << 24  # most entries k^C(m,2) one pattern table may hold
 AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 UNKNOWN = "unknown"
+
+SYMMETRIES = ("both", "color")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
     return b"".join(rows)
 
 
-def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
+def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, symmetry="both"):
     """Depth-first search over the k-colorings of K_n, one colex position
     per step of a loop; `prefix` pins the colors of the first positions
     (used to split work across processes).
@@ -233,19 +234,42 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
     the m-sets a position completes the first time it gets there, and sets
     the position's colors to try.  Try counts one node per color and checks
     the completed m-sets: a pass goes on to reach the next position, and
-    when the colors run out it backs up a position.
+    when the colors run out it backs up a position.  An m-set that prunes a
+    color moves to the front of its position's list, since the next color
+    or the next visit is likely to complete it badly too; the order of the
+    list never changes whether a node passes, only how many sets it reads.
+
+    Colors start at 0 and go up to one past the colors used before, so each
+    new color first appears in order (first use).  symmetry="both" also
+    gives each position a floor, the least color sb_l allows there: row i
+    of the color matrix is lexicographically at most row i+1, columns read
+    in increasing order, leaving out columns i and i+1.  Of the two entries
+    compared in a column, row i+1's comes later in colex order, so sb_l is
+    exactly a lower bound at each position.  At (a, b), the entry of
+    row b in column a is bounded by row b-1's when a+1 < b and rows b-1 and
+    b agree on the columns before a (`same`), and the entry of row a in
+    column b by row a-1's when rows a-1 and a agree on every column before
+    b but a-1 and a (`tied`).  Each flag is one comparison on an earlier
+    position's flag.  Colors below the floor are never tried, so they are
+    neither nodes nor prunes, and a range the floor empties (only under a
+    prefix) backs up without a node.  See exists_avoiding_coloring for why
+    this is sound.  symmetry="color" uses first use alone.
     """
     t0 = time.perf_counter()
     j = n if start is None else start
+    vertex = symmetry == "both"
     bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
     # One entry per position reached.  checks[pos]: the m-sets completed at
     # pos, each as the colex positions of its pairs from the last
     # lexicographic pair to the first, the order in which the Horner loop
-    # reads them.  colors[pos]: the color last tried at pos, one below the
+    # reads them, less the last pair, which is pos itself: the loop starts
+    # from its color.  colors[pos]: the color last tried at pos, one below the
     # first before any.  lim[pos]: one past the last color to try.
-    # used[pos]: the colors used before pos.
-    checks, colors, lim, used = [], [], [], []
+    # used[pos]: the colors used before pos.  pairs[pos]: its pair (a, b).
+    # same[pos]: rows b-1 and b agree on the columns before a.  tied[pos]:
+    # rows a-1 and a agree on the columns before b other than a-1 and a.
+    checks, colors, lim, used, pairs, same, tied = [], [], [], [], [], [], []
     outcomes = []
     nodes = prunes = pos = seen = 0
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
@@ -265,21 +289,37 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
             u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
             checks.append([
                 [b * (b - 1) // 2 + a
-                 for a, b in itertools.combinations(rest + (u, v), 2)][::-1]
+                 for a, b in itertools.combinations(rest + (u, v), 2)][-2::-1]
                 for rest in itertools.combinations(range(u), m - 2)
             ])
             colors.append(0)
             lim.append(0)
             used.append(0)
+            pairs.append((u, v))
+            same.append(True)
+            tied.append(False)
         if pos < len(prefix):
-            colors[pos], lim[pos] = prefix[pos] - 1, prefix[pos] + 1
+            low, lim[pos] = prefix[pos], prefix[pos] + 1
         else:
-            colors[pos], lim[pos] = -1, min(seen + 1, k)
+            low, lim[pos] = 0, min(seen + 1, k)
+        if vertex:
+            a, b = pairs[pos]
+            if a:
+                same[pos] = same[pos - 1] and colors[pos - b] == colors[pos - 1]
+                if a + 1 == b:
+                    tied[pos] = same[pos - b]
+                else:
+                    tied[pos] = tied[pos - b + 1] and colors[pos - b] == colors[pos - b + 1]
+                if tied[pos]:
+                    low = max(low, colors[pos - 1])
+            if a + 1 < b and same[pos]:
+                low = max(low, colors[pos - b + 1])
+        colors[pos] = low - 1
         used[pos] = seen
         # Try the colors at pos, backing up a position when they run out.
         while True:
             col = colors[pos] + 1
-            if col == lim[pos]:
+            if col >= lim[pos]:
                 if pos == 0:
                     kind = EXHAUSTED
                     break
@@ -292,12 +332,16 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None):
                 break
             # Every color, not only the new edge's: a subset completed here
             # can be kappa-connected in a color the new edge does not carry.
-            for idxs in checks[pos]:
-                p = 0
+            sets = checks[pos]
+            for idxs in sets:
+                p = col
                 for i in idxs:
                     p = p * k + colors[i]
                 if bad[p]:
                     prunes += 1
+                    if idxs is not sets[0]:
+                        sets.remove(idxs)
+                        sets.insert(0, idxs)
                     break
             else:
                 seen = max(used[pos], col + 1)
@@ -323,9 +367,11 @@ def _worker(args):
     return _backtrack(*args)[0]
 
 
-def _check_search_args(m, kappa, k, node_budget):
+def _check_search_args(m, kappa, k, node_budget, symmetry):
     """The argument checks shared by exists_avoiding_coloring and
     ramsey_number, made before any table is built."""
+    if symmetry not in SYMMETRIES:
+        raise ValueError(f"need symmetry in {SYMMETRIES}, got symmetry={symmetry!r}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
     if m < 2 or kappa < 1 or k < 1:
@@ -344,6 +390,8 @@ def _next_result(results, procs):
     """The next result of a Pool.imap.  A Pool replaces a worker that
     dies and never returns the prefix it held, so while waiting, a
     worker of `procs` that exited with a nonzero code is an error."""
+    import multiprocessing
+
     while True:
         try:
             return results.next(timeout=0.1)
@@ -362,6 +410,7 @@ def exists_avoiding_coloring(
     k: int,
     node_budget: int | None = None,
     workers: int = 1,
+    symmetry: str = "both",
 ) -> SearchOutcome:
     """Backtracking search over k-colorings of K_n for one lacking a
     monochromatic kappa-connected m-set.
@@ -372,24 +421,42 @@ def exists_avoiding_coloring(
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
-    node_budget < 0, workers < 1, or a node budget with workers > 1 raises
-    ValueError before any table or worker pool is built; for n <= 1 there
-    is no edge to color, and K_n is avoiding after 0 nodes.
+    node_budget < 0, workers < 1, a node budget with workers > 1, or a
+    symmetry other than "both" or "color" raises ValueError before any
+    table or worker pool is built; for n <= 1 there is no edge to color, and
+    K_n is avoiding after 0 nodes.
 
-    Symmetry breaking is color-first-use only.  A node budget turns
-    nontermination risk into an explicit "unknown" outcome.  The work is
-    split into the color prefixes of _prefixes(k, workers, C(n,2)).  One
-    prefix (workers=1, k=1 or n <= 2) means an in-process search, whose
-    outcome says "workers": 1.  Several are searched in parallel by at
-    most os.cpu_count() processes, and the search stops at the first
-    prefix, in serial order, that finds an avoiding coloring.  The
-    prefixes follow `workers`, not the process count, so the outcome does
-    not depend on the machine: it is the serial kind and coloring, and the
-    stats add up the prefixes up to and including that one.
+    Symmetry breaking (see _backtrack): symmetry="color" keeps first use
+    alone, the search without vertex reduction kept as the oracle for the
+    default "both", which adds the sb_l floor.  "both" is sound.  Relabeling
+    the vertices and permuting the colors map avoiding colorings to avoiding
+    ones.  Read a coloring x as its colors in colex order and compare such
+    sequences lexicographically.  First use holds exactly when x <= tau x
+    for every color permutation tau (value precedence).  sb_l holds exactly
+    when x <= x o (i i+1) for every i: the swap moves only the pairs {i, j}
+    and {i+1, j}, and the first of them in colex order that differs is row
+    i's entry in the first column where rows i and i+1 differ.  Both are
+    lex-leader constraints under one order, so the lex-least coloring of
+    each orbit under relabeling and recoloring satisfies both, and it is
+    avoiding when the orbit is.  So "both" finds an avoiding coloring
+    exactly when one exists; a separate vertex-only mode would be sound for
+    the same reason but prunes less, so there is none.
+
+    A node budget turns nontermination risk into an explicit "unknown"
+    outcome.  The work is split into the color prefixes of _prefixes(k,
+    workers, C(n,2)).  One prefix (workers=1, k=1 or n <= 2) means an
+    in-process search, whose outcome says "workers": 1.  Several are
+    searched in parallel by at most os.cpu_count() processes, and the
+    search stops at the first prefix, in serial order, that finds an
+    avoiding coloring.  The prefixes follow `workers`, not the process
+    count, so the outcome does not depend on the machine: it is the serial
+    kind and coloring, and the stats add up the prefixes up to and
+    including that one.  Under "both" a prefix the floor rules out ends
+    after the nodes of its allowed positions.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    _check_search_args(m, kappa, k, node_budget)
+    _check_search_args(m, kappa, k, node_budget, symmetry)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got workers={workers}")
     if workers > 1 and node_budget is not None:
@@ -397,9 +464,11 @@ def exists_avoiding_coloring(
     start = time.perf_counter()
     prefixes = _prefixes(k, workers, n * (n - 1) // 2)
     if len(prefixes) == 1:
-        return _backtrack(n, m, kappa, k, node_budget)[0]
+        return _backtrack(n, m, kappa, k, node_budget, symmetry=symmetry)[0]
 
-    args = [(n, m, kappa, k, None, p) for p in prefixes]
+    import multiprocessing
+
+    args = [(n, m, kappa, k, None, p, None, symmetry) for p in prefixes]
     total = SearchStats()
     kind, coloring = EXHAUSTED, None
     # imap yields in prefix order, which is the serial DFS order, so the
@@ -449,6 +518,7 @@ def ramsey_number(
     k: int,
     n_max: int,
     node_budget: int | None = None,
+    symmetry: str = "both",
 ) -> RamseyResult:
     """Least n <= n_max such that every k-coloring of K_n has a
     monochromatic kappa-connected m-set, with per-n search outcomes;
@@ -464,11 +534,16 @@ def ramsey_number(
     of that n alone visits them too.  Each n's stats.wall_time is the time
     from the start of the search to that n's decision, so it never
     decreases with n.
+
+    `symmetry` is exists_avoiding_coloring's, and the sweep holds in both
+    modes: first use and the sb_l floor at a position of K_n read only the
+    positions before it, so inside K_n they prune exactly as in a search of
+    K_n alone.
     """
-    _check_search_args(m, kappa, k, node_budget)
+    _check_search_args(m, kappa, k, node_budget, symmetry)
     if n_max < m:
         raise ValueError("need n_max >= m")
-    searched = _backtrack(n_max, m, kappa, k, node_budget, start=m)
+    searched = _backtrack(n_max, m, kappa, k, node_budget, start=m, symmetry=symmetry)
     outcomes = {o.n: o for o in searched}
     last = searched[-1]
     if last.kind == EXHAUSTED:

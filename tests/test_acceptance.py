@@ -165,15 +165,16 @@ def test_criterion_8_search_completeness():
         for k in (1, 2):
             for m in range(2, n + 1):
                 for kappa in range(1, m + 1):
-                    native = exists_avoiding_coloring(n, m, kappa, k)
                     literal = any(
                         arrow_check(c, kappa, m) is None
                         for c in enumerate_all_colorings(n, k)
                     )
-                    assert (native.kind == AVOIDING) == literal
+                    for symmetry in ("both", "color"):
+                        native = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
+                        assert (native.kind == AVOIDING) == literal, symmetry
                     points += 1
     print(f"ACCEPTANCE 8 PASS: search matches literal enumeration at all "
-          f"{points} grid points")
+          f"{points} grid points, with and without vertex symmetry breaking")
 
 
 def test_criterion_9_cnf_cross_check():

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,10 +63,55 @@ def test_number_reproduces_classical_value(tmp_path, capsys):
 def test_number_manifest_digests_are_pinned(tmp_path, capsys, args, code, printed, digest):
     # Pinned from the search that ran each n from scratch: reading every n
     # off one search must leave each n's kind, counts and coloring as they were.
+    got, store = run(tmp_path, "number", *args, "--symmetry", "color")
+    assert (got, capsys.readouterr().out.strip()) == (code, printed)
+    (manifest,) = manifests(store)
+    assert manifest["digest"][:16] == digest
+
+
+@pytest.mark.parametrize("args, code, printed, digest", [
+    (("--m", "4", "--kappa", "2", "--colors", "3", "--nmax", "12", "--budget", "42000"),
+     3, "unknown (budget exhausted)", "0f96e297ed67b1a3"),
+    (("--m", "5", "--kappa", "2", "--colors", "2", "--nmax", "9"), 0, "7", "41f2bd5245e36d08"),
+    (("--m", "3", "--kappa", "2", "--colors", "3", "--nmax", "10"), 0, "> 10",
+     "b7b02759b6c6e203"),
+])
+def test_number_manifest_digests_under_both(tmp_path, capsys, args, code, printed, digest):
+    # The default symmetry prints what color mode prints, from other counts
+    # and colorings; the manifest records the mode under params only.
     got, store = run(tmp_path, "number", *args)
     assert (got, capsys.readouterr().out.strip()) == (code, printed)
     (manifest,) = manifests(store)
     assert manifest["digest"][:16] == digest
+    assert manifest["params"]["symmetry"] == "both"
+    assert "symmetry" not in json.dumps(manifest["outcome"])
+
+
+@pytest.mark.parametrize("command, args", [
+    ("search", ("--n", "6", "--m", "3", "--kappa", "3", "--colors", "2")),
+    ("number", ("--m", "3", "--kappa", "3", "--colors", "2", "--nmax", "6")),
+])
+def test_symmetry_is_a_choice(tmp_path, capsys, command, args):
+    code, store = run(tmp_path, command, *args, "--symmetry", "color")
+    assert code == 0
+    assert manifests(store)[0]["params"]["symmetry"] == "color"
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, command, *args, "--symmetry", "vertex")
+    assert exc.value.code == 2
+    assert "--symmetry" in capsys.readouterr().err
+
+
+def test_import_does_not_load_multiprocessing():
+    # The pool is started, and multiprocessing imported, only by a search
+    # that splits its work.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import hcramsey, hcramsey.cli; print('multiprocessing' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_manifest_records_seed_and_workers_once(tmp_path, capsys):

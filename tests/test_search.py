@@ -30,6 +30,7 @@ from hcramsey.search import (
     ENUMERATION_LIMIT,
     EXHAUSTED,
     PATTERN_LIMIT,
+    SYMMETRIES,
     UNKNOWN,
     SearchOutcome,
     _backtrack,
@@ -245,11 +246,13 @@ class TestExistsAvoidingColoring:
             (6, 6, 1, 2): (EXHAUSTED, (32768, 16384)),
         }
         for (n, m, kappa, k), (kind, pinned) in cases.items():
-            serial = exists_avoiding_coloring(n, m, kappa, k)
+            serial = exists_avoiding_coloring(n, m, kappa, k, symmetry="color")
             assert serial.kind == kind
             runs = []
             for _ in range(2):
-                runs.append(exists_avoiding_coloring(n, m, kappa, k, workers=2))
+                runs.append(exists_avoiding_coloring(
+                    n, m, kappa, k, workers=2, symmetry="color",
+                ))
                 assert multiprocessing.active_children() == []
             counts = [(p.stats.nodes, p.stats.forbidden_prunes) for p in runs]
             assert counts[0] == counts[1]
@@ -264,6 +267,16 @@ class TestExistsAvoidingColoring:
                 )
             if pinned is not None:
                 assert counts[0] == pinned
+
+    def test_parallel_workers_agree_under_both(self):
+        # Each prefix is searched under the floor, so the first avoiding
+        # prefix still holds the serial coloring.
+        for n, m, kappa, k in [(5, 3, 3, 2), (6, 3, 3, 2), (7, 4, 2, 2), (8, 5, 1, 3),
+                               (10, 4, 2, 3), (6, 6, 1, 2), (8, 6, 2, 2)]:
+            serial = exists_avoiding_coloring(n, m, kappa, k)
+            par = exists_avoiding_coloring(n, m, kappa, k, workers=2)
+            assert (par.kind, par.coloring) == (serial.kind, serial.coloring)
+            assert multiprocessing.active_children() == []
 
     def test_parallel_search_builds_the_pattern_table_in_the_parent(self):
         # Workers forked from a parent without the table would each build
@@ -289,9 +302,9 @@ class TestExistsAvoidingColoring:
         killer = threading.Thread(target=kill_a_worker)
         killer.start()
         # Untouched, this search is exhausted after 745,592 nodes, about
-        # 0.8 s on two workers.
+        # 0.8 s on two workers; the default symmetry ends it before the kill.
         with pytest.raises(RuntimeError, match="exited with code -9"):
-            exists_avoiding_coloring(8, 6, 2, 2, workers=2)
+            exists_avoiding_coloring(8, 6, 2, 2, workers=2, symmetry="color")
         killer.join()
         assert killed
         assert multiprocessing.active_children() == []
@@ -299,12 +312,13 @@ class TestExistsAvoidingColoring:
     def test_completeness_small_grid(self):
         # spot sample; the full n <= 5 grid runs in the acceptance suite
         for n, m, kappa, k in [(4, 3, 2, 2), (4, 4, 1, 2), (5, 3, 3, 2), (3, 2, 1, 2)]:
-            native = exists_avoiding_coloring(n, m, kappa, k).kind == AVOIDING
             literal = any(
                 arrow_check(c, kappa, m) is None
                 for c in enumerate_all_colorings(n, k)
             )
-            assert native == literal
+            for symmetry in SYMMETRIES:
+                out = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
+                assert (out.kind == AVOIDING) == literal, symmetry
 
     def test_hierarchy_witness_reuse(self):
         # n = 6 proves the highly-connected arrow at m = 3; the same
@@ -341,13 +355,176 @@ PINNED_SEARCH_COUNTS = {
 
 @pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS))
 def test_pinned_search_counts(params):
-    out = exists_avoiding_coloring(*params)
+    out = exists_avoiding_coloring(*params, symmetry="color")
     assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
         PINNED_SEARCH_COUNTS[params]
     )
     if out.kind == AVOIDING:
         n, m, kappa, k = params
         assert arrow_check(out.coloring, kappa, m) is None
+
+
+# The same rows and more under the default symmetry, "both".
+PINNED_SEARCH_COUNTS_BOTH = {
+    (6, 3, 3, 2): (EXHAUSTED, 53, 20),
+    (6, 3, 1, 2): (EXHAUSTED, 6, 3),
+    (7, 4, 2, 2): (EXHAUSTED, 102, 36),
+    (7, 5, 1, 2): (EXHAUSTED, 135, 45),
+    (8, 5, 1, 3): (AVOIDING, 129, 56),
+    (7, 6, 2, 2): (AVOIDING, 45, 10),
+    (7, 5, 2, 2): (EXHAUSTED, 465, 161),
+    (6, 6, 1, 2): (EXHAUSTED, 897, 324),
+    (8, 6, 2, 2): (EXHAUSTED, 3084, 1136),
+    (9, 5, 1, 3): (EXHAUSTED, 12252, 6897),
+    (10, 4, 2, 3): (AVOIDING, 14412, 9417),
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS_BOTH))
+def test_pinned_search_counts_under_both(params):
+    out = exists_avoiding_coloring(*params)
+    assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
+        PINNED_SEARCH_COUNTS_BOTH[params]
+    )
+    if out.kind == AVOIDING:
+        n, m, kappa, k = params
+        assert arrow_check(out.coloring, kappa, m) is None
+
+
+def _rows(c):
+    """The color matrix of c, with None on the diagonal."""
+    row = [[None] * c.n for _ in range(c.n)]
+    for (a, b), color in zip(all_pairs(c.n), c.colors):
+        row[a][b] = row[b][a] = color
+    return row
+
+
+def _colex(c):
+    """The colors of c in colex pair order, the order the search assigns."""
+    row = _rows(c)
+    return tuple(row[a][b] for b in range(c.n) for a in range(b))
+
+
+def _first_use(seq):
+    """Whether each color of seq first appears after every smaller one."""
+    seen = 0
+    for color in seq:
+        if color > seen:
+            return False
+        seen = max(seen, color + 1)
+    return True
+
+
+def _rows_ordered(c):
+    """sb_l, checked from the rows themselves: row i of the color matrix is
+    lexicographically at most row i+1, leaving out columns i and i+1."""
+    row = _rows(c)
+    for i in range(c.n - 1):
+        rest = [j for j in range(c.n) if j not in (i, i + 1)]
+        if [row[i][j] for j in rest] > [row[i + 1][j] for j in rest]:
+            return False
+    return True
+
+
+def _breaks_symmetry(c, symmetry):
+    """Whether c satisfies first use, in colex order, and, for "both", sb_l."""
+    return _first_use(_colex(c)) and (symmetry == "color" or _rows_ordered(c))
+
+
+def _colorings_breaking_symmetry(n, k, symmetry):
+    """Every k-coloring of K_n that breaks symmetry, in the order of their
+    colex color sequences."""
+    lex = {p: e for e, p in enumerate(all_pairs(n))}
+    colex = [lex[a, b] for b in range(n) for a in range(b)]
+    for seq in itertools.product(range(k), repeat=len(colex)):
+        if not _first_use(seq):
+            continue
+        colors = [0] * len(seq)
+        for e, color in zip(colex, seq):
+            colors[e] = color
+        c = EdgeColoring(n, k, tuple(colors))
+        if symmetry == "color" or _rows_ordered(c):
+            yield c
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (5, 2)])
+def test_floor_admits_exactly_the_colorings_with_ordered_rows(n, k):
+    # With m = n + 1 no m-set is ever completed, and a prefix of every
+    # position pins one coloring (first use is not asked of a prefix), so
+    # the search reaches K_n exactly when the floor admits each color.
+    for c in enumerate_all_colorings(n, k):
+        (out,) = _backtrack(n, n + 1, 1, k, None, prefix=_colex(c))
+        assert out.kind == (AVOIDING if _rows_ordered(c) else EXHAUSTED), c
+        assert out.coloring in (None, c)
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (5, 2), (6, 2)])
+def test_lex_least_coloring_of_each_orbit_breaks_both_symmetries(n, k):
+    # Why "both" is sound: first use and sb_l are lex-leader constraints
+    # under the one order of colex color sequences, so the least coloring
+    # of every orbit under relabeling and recoloring satisfies both.
+    pairs = all_pairs(n)
+    index = {p: e for e, p in enumerate(pairs)}
+    relabels = [[index[tuple(sorted((perm[a], perm[b])))] for a, b in pairs]
+                for perm in itertools.permutations(range(n))]
+    recolors = list(itertools.permutations(range(k)))
+    done = set()
+    orbits = 0
+    for c in enumerate_all_colorings(n, k):
+        if c.colors in done:
+            continue
+        orbit = {tuple(recolor[c.colors[e]] for e in relabel)
+                 for relabel in relabels for recolor in recolors}
+        done |= orbit
+        least = min((EdgeColoring(n, k, colors) for colors in orbit), key=_colex)
+        assert _breaks_symmetry(least, "both"), least
+        orbits += 1
+    assert len(done) == k ** len(pairs) and orbits > 1
+
+
+@pytest.mark.parametrize("n, k, symmetry", [
+    (4, 2, "both"), (5, 2, "both"), (6, 2, "both"), (4, 3, "both"), (5, 3, "both"),
+    (4, 2, "color"), (5, 2, "color"), (4, 3, "color"),
+])
+def test_search_finds_the_least_avoiding_coloring_that_breaks_symmetry(n, k, symmetry):
+    # The loop tries colors upward in colex order and prunes only m-sets
+    # that no completion can save, so its coloring is the least avoiding one
+    # that breaks symmetry, and it is exhausted when there is none.  The
+    # colorings that break symmetry are found here by comparing rows, not
+    # by the search's floor.
+    kept = list(_colorings_breaking_symmetry(n, k, symmetry))
+    for m in range(3, n + 1):
+        for kappa in range(1, m):
+            want = next((c for c in kept if arrow_check(c, kappa, m) is None), None)
+            out = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
+            assert out.coloring == want, (m, kappa)
+            assert out.kind == (EXHAUSTED if want is None else AVOIDING)
+
+
+@pytest.mark.parametrize("m, kappa, k, n_max, value, nodes", [
+    # R_1(m; 2) = m: a graph or its complement is connected.
+    (3, 1, 2, 3, 3, 6),
+    (4, 1, 2, 4, 4, 28),
+    (5, 1, 2, 5, 5, 135),
+    (6, 1, 2, 6, 6, 897),
+    # R_1(3; 3) = 5, R_1(4; 3) = 6 and R_1(5; 3) = 9 (Gyarfas 1977).
+    (3, 1, 3, 5, 5, 28),
+    (4, 1, 3, 6, 6, 426),
+    (5, 1, 3, 9, 9, 12252),
+    # R(3, 3) = 6: on three vertices, 2- and 3-connected mean a triangle.
+    (3, 2, 2, 6, 6, 53),
+    (3, 3, 2, 6, 6, 53),
+    # No literature value; the seed's unbudgeted search gave 7.
+    (5, 2, 2, 7, 7, 465),
+])
+def test_literature_panel(m, kappa, k, n_max, value, nodes):
+    # Unbudgeted, in the default mode; each takes at most about 0.02 s.
+    result = ramsey_number(m, kappa, k, n_max)
+    assert (result.status, result.value) == ("determined", value)
+    assert result.outcomes[value].stats.nodes == nodes
+    for n in range(m, value):
+        c = result.outcomes[n].coloring
+        assert arrow_check(c, kappa, m) is None
 
 
 def _pattern_value(table, m, k, p):
@@ -457,6 +634,16 @@ def test_worker_count_below_one_is_refused_before_building_a_table(monkeypatch, 
     _refused_before_any_table(monkeypatch, "need workers >= 1", 6, 3, 3, 2, workers=workers)
 
 
+@pytest.mark.parametrize("search, args", [
+    (exists_avoiding_coloring, (6, 3, 3, 2)),
+    (ramsey_number, (3, 3, 2, 6)),
+])
+def test_unknown_symmetry_is_refused_before_building_a_table(monkeypatch, search, args):
+    _refused_before_any_table(
+        monkeypatch, "need symmetry in", *args, symmetry="vertex", search=search,
+    )
+
+
 @pytest.mark.parametrize("node_budget", [3000, 0])
 def test_budget_with_workers_is_refused_before_building_a_table(monkeypatch, node_budget):
     # A budget split across the prefixes made the verdict depend on the
@@ -485,7 +672,7 @@ def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind
 
     monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers)
+    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers, symmetry="color")
     assert sizes == [cpus]
     assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
     assert multiprocessing.active_children() == []
@@ -552,22 +739,54 @@ PINNED_PREFIX_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS))
-def test_prefix_counts_searched_in_process(n, m, kappa, k, workers):
+# The same under "both".  A prefix the floor rules out at its last position
+# ends after the nodes of the positions before it: in (0, 1, 0), pair (1, 2)
+# is below (0, 2), so row 0 exceeds row 1 in column 2, the first compared.
+PINNED_PREFIX_COUNTS_BOTH = {
+    (6, 6, 1, 2, 2): {
+        (0, 0): (EXHAUSTED, 847, 313),
+        (0, 1): (EXHAUSTED, 51, 11),
+    },
+    (7, 4, 2, 2, 3): {
+        (0, 0, 0): (EXHAUSTED, 47, 17),
+        (0, 0, 1): (EXHAUSTED, 51, 17),
+        (0, 1, 0): (EXHAUSTED, 2, 0),
+        (0, 1, 1): (EXHAUSTED, 7, 2),
+    },
+    (8, 5, 1, 3, 2): {
+        (0, 0): (AVOIDING, 129, 56),
+        (0, 1): (EXHAUSTED, 3624, 2037),
+    },
+}
+
+
+def _prefix_counts(n, m, kappa, k, workers, symmetry):
     got = {}
     for prefix in _prefixes(k, workers, n * (n - 1) // 2):
-        (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix)
+        (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix, symmetry=symmetry)
         got[prefix] = (out.kind, out.stats.nodes, out.stats.forbidden_prunes)
         if out.kind == AVOIDING:
             assert arrow_check(out.coloring, kappa, m) is None
+    return got
+
+
+@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS))
+def test_prefix_counts_searched_in_process(n, m, kappa, k, workers):
+    got = _prefix_counts(n, m, kappa, k, workers, "color")
     assert got == PINNED_PREFIX_COUNTS[n, m, kappa, k, workers]
+
+
+@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS_BOTH))
+def test_prefix_counts_searched_in_process_under_both(n, m, kappa, k, workers):
+    got = _prefix_counts(n, m, kappa, k, workers, "both")
+    assert got == PINNED_PREFIX_COUNTS_BOTH[n, m, kappa, k, workers]
 
 
 def test_every_j_is_read_off_at_one_site():
     # K_0 and K_1 are read off at position 0 before any node, and every
     # later K_j when the loop first colors all its edges.
     got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
-           for o in _backtrack(7, 3, 3, 2, None, start=0)]
+           for o in _backtrack(7, 3, 3, 2, None, start=0, symmetry="color")]
     assert got == [
         (0, AVOIDING, 0, 0),
         (1, AVOIDING, 0, 0),
@@ -576,6 +795,17 @@ def test_every_j_is_read_off_at_one_site():
         (4, AVOIDING, 12, 4),
         (5, AVOIDING, 47, 21),
         (6, EXHAUSTED, 325, 163),
+    ]
+    got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
+           for o in _backtrack(7, 3, 3, 2, None, start=0)]
+    assert got == [
+        (0, AVOIDING, 0, 0),
+        (1, AVOIDING, 0, 0),
+        (2, AVOIDING, 1, 0),
+        (3, AVOIDING, 4, 1),
+        (4, AVOIDING, 10, 2),
+        (5, AVOIDING, 29, 9),
+        (6, EXHAUSTED, 53, 20),
     ]
 
 
@@ -638,21 +868,30 @@ def test_budgeted_search_memory_follows_its_budget(search, expected):
     assert peak < 1 << 20
 
 
-def test_panel_counts_digest():
-    # (kind, nodes, prunes, coloring) of every n searched by these
-    # ramsey_number calls, pinned from the search that checked each m-set
-    # by one connectivity-table lookup per color: a change to how m-sets
-    # are checked must keep it byte-identical.
+def _panel_counts_digest(symmetry):
+    """(kind, nodes, prunes, coloring) of every n searched by a panel of
+    ramsey_number calls, hashed."""
     h = hashlib.sha256()
     for m, kappa, k, n_max, budget in [
         (3, 3, 2, 6, None), (5, 2, 2, 9, None), (6, 1, 2, 8, None), (3, 2, 3, 14, 3_000),
     ]:
-        result = ramsey_number(m, kappa, k, n_max, node_budget=budget)
+        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry=symmetry)
         for n, o in sorted(result.outcomes.items()):
             colors = None if o.coloring is None else o.coloring.colors
             row = (m, kappa, k, n, o.kind, o.stats.nodes, o.stats.forbidden_prunes, colors)
             h.update(repr(row).encode())
-    assert h.hexdigest()[:16] == "65ab8300a6cde6e9"
+    return h.hexdigest()[:16]
+
+
+def test_panel_counts_digest():
+    # Pinned in color mode from the search that checked each m-set by one
+    # connectivity-table lookup per color: a change to how m-sets are
+    # checked, or to the order they are read in, must keep it byte-identical.
+    assert _panel_counts_digest("color") == "65ab8300a6cde6e9"
+
+
+def test_panel_counts_digest_under_both():
+    assert _panel_counts_digest("both") == "7efa2d80e0660ca5"
 
 
 # (m, kappa, k, n_max, budget): unknown in the middle of a sweep and at its
@@ -675,18 +914,38 @@ SWEEP_GRID = [
 @pytest.mark.parametrize("m, kappa, k, n_max, budget", SWEEP_GRID)
 def test_sweep_matches_a_search_per_n(m, kappa, k, n_max, budget):
     # One search over K_n_max reads off each n; a search of K_n alone, under
-    # the same budget, must report the same kind, counts and coloring.
-    result = ramsey_number(m, kappa, k, n_max, node_budget=budget)
-    last = max(result.outcomes)
-    assert sorted(result.outcomes) == list(range(m, last + 1))
-    for n, o in result.outcomes.items():
-        alone = exists_avoiding_coloring(n, m, kappa, k, node_budget=budget)
-        assert (o.kind, o.stats.nodes, o.stats.forbidden_prunes, o.coloring) == (
-            alone.kind, alone.stats.nodes, alone.stats.forbidden_prunes, alone.coloring
-        ), n
-        assert o.kind == (AVOIDING if n < last else result.outcomes[last].kind)
-    walls = [result.outcomes[n].stats.wall_time for n in sorted(result.outcomes)]
-    assert walls == sorted(walls)
+    # the same budget and symmetry, must report the same kind, counts and
+    # coloring.
+    for symmetry in SYMMETRIES:
+        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry=symmetry)
+        last = max(result.outcomes)
+        assert sorted(result.outcomes) == list(range(m, last + 1))
+        for n, o in result.outcomes.items():
+            alone = exists_avoiding_coloring(
+                n, m, kappa, k, node_budget=budget, symmetry=symmetry,
+            )
+            assert (o.kind, o.stats.nodes, o.stats.forbidden_prunes, o.coloring) == (
+                alone.kind, alone.stats.nodes, alone.stats.forbidden_prunes, alone.coloring
+            ), (symmetry, n)
+            assert o.kind == (AVOIDING if n < last else result.outcomes[last].kind)
+        walls = [result.outcomes[n].stats.wall_time for n in sorted(result.outcomes)]
+        assert walls == sorted(walls)
+
+
+@pytest.mark.parametrize("m, kappa, k, n_max, budget", SWEEP_GRID)
+def test_both_agrees_with_color_wherever_both_resolve(m, kappa, k, n_max, budget):
+    # The vertex floor may only move the frontier; every n that both modes
+    # resolve has one kind, and every avoiding coloring under "both"
+    # avoids and satisfies first use and sb_l.
+    both = ramsey_number(m, kappa, k, n_max, node_budget=budget)
+    color = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry="color")
+    for n in both.outcomes.keys() & color.outcomes.keys():
+        kinds = both.outcomes[n].kind, color.outcomes[n].kind
+        assert UNKNOWN in kinds or kinds[0] == kinds[1], n
+    for o in both.outcomes.values():
+        if o.kind == AVOIDING:
+            assert arrow_check(o.coloring, kappa, m) is None
+            assert _breaks_symmetry(o.coloring, "both"), o.coloring
 
 
 def test_search_depth_does_not_grow_with_n():
