@@ -44,7 +44,6 @@ from .satbridge import (
     violated_clause,
 )
 from .search import (
-    SYMMETRIES,
     UNKNOWN,
     arrow_check,
     exists_avoiding_coloring,
@@ -63,14 +62,6 @@ SEARCH_HELP = (
     "entries; more than 2^24 entries (m=7 with colors >= 3, m=6 with "
     "colors >= 4, m=5 with colors >= 6, m=4 with colors >= 17) or m > 7 is "
     "refused with exit 2"
-)
-SYMMETRY_HELP = (
-    "symmetry breaking: 'both' (default) tries each new color only after "
-    "the colors before it and keeps row i of the color matrix "
-    "lexicographically at most row i+1, leaving out columns i and i+1, by "
-    "never trying a color below that bound; 'color' keeps only the first "
-    "rule and is the slower search both are checked against; the answer is "
-    "the same, the node counts and the coloring found may differ"
 )
 
 
@@ -169,7 +160,7 @@ def cmd_arrow(args):
 def cmd_search(args):
     result = exists_avoiding_coloring(
         args.n, args.m, args.kappa, args.colors,
-        node_budget=args.budget, workers=args.workers, symmetry=args.symmetry,
+        node_budget=args.budget, workers=args.workers,
     )
     outcome = result.to_json_dict()
     outcome["tool_version"] = __version__
@@ -181,7 +172,7 @@ def cmd_search(args):
 def cmd_number(args):
     result = ramsey_number(
         args.m, args.kappa, args.colors, args.nmax,
-        node_budget=args.budget, symmetry=args.symmetry,
+        node_budget=args.budget,
     )
     if result.status == "determined":
         print(result.value)
@@ -326,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="processes for the color prefixes; one color, one edge or "
                    "--workers 1 gives one prefix, searched in process")
     p.add_argument("--budget", type=int, help=BUDGET_HELP + "; needs --workers 1")
-    p.add_argument("--symmetry", choices=SYMMETRIES, default=SYMMETRIES[0],
-                   help=SYMMETRY_HELP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("number", help="finite connected Ramsey number",
@@ -342,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--colors", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--budget", type=int, help=BUDGET_HELP)
-    p.add_argument("--symmetry", choices=SYMMETRIES, default=SYMMETRIES[0],
-                   help=SYMMETRY_HELP)
     p.set_defaults(func=cmd_number)
 
     p = sub.add_parser("coloring", help="emit a coloring file")

@@ -27,9 +27,6 @@ AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 UNKNOWN = "unknown"
 
-SYMMETRIES = ("both", "color")  # the first is the default
-
-
 @dataclass(frozen=True)
 class ArrowWitness:
     """A color and a vertex set whose induced color graph is
@@ -211,7 +208,7 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
     return b"".join(rows)
 
 
-def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, symmetry="both"):
+def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     """Depth-first search over the k-colorings of K_n, one colex position
     per step of a loop; `prefix` pins the colors of the first positions
     (used to split work across processes).
@@ -240,10 +237,10 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, symmetry="bot
     list never changes whether a node passes, only how many sets it reads.
 
     Colors start at 0 and go up to one past the colors used before, so each
-    new color first appears in order (first use).  symmetry="both" also
-    gives each position a floor, the least color sb_l allows there: row i
-    of the color matrix is lexicographically at most row i+1, columns read
-    in increasing order, leaving out columns i and i+1.  Of the two entries
+    new color first appears in order (first use).  With `vertex`, each
+    position also has a floor, the least color sb_l allows there: row i of
+    the color matrix is lexicographically at most row i+1, columns read in
+    increasing order, leaving out columns i and i+1.  Of the two entries
     compared in a column, row i+1's comes later in colex order, so sb_l is
     exactly a lower bound at each position.  At (a, b), the entry of
     row b in column a is bounded by row b-1's when a+1 < b and rows b-1 and
@@ -253,11 +250,11 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, symmetry="bot
     position's flag.  Colors below the floor are never tried, so they are
     neither nodes nor prunes, and a range the floor empties (only under a
     prefix) backs up without a node.  See exists_avoiding_coloring for why
-    this is sound.  symmetry="color" uses first use alone.
+    this is sound.  vertex=False uses first use alone, the search without
+    vertex reduction that tests check this one against.
     """
     t0 = time.perf_counter()
     j = n if start is None else start
-    vertex = symmetry == "both"
     bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
     # One entry per position reached.  checks[pos]: the m-sets completed at
@@ -367,11 +364,9 @@ def _worker(args):
     return _backtrack(*args)[0]
 
 
-def _check_search_args(m, kappa, k, node_budget, symmetry):
+def _check_search_args(m, kappa, k, node_budget):
     """The argument checks shared by exists_avoiding_coloring and
     ramsey_number, made before any table is built."""
-    if symmetry not in SYMMETRIES:
-        raise ValueError(f"need symmetry in {SYMMETRIES}, got symmetry={symmetry!r}")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
     if m < 2 or kappa < 1 or k < 1:
@@ -410,7 +405,8 @@ def exists_avoiding_coloring(
     k: int,
     node_budget: int | None = None,
     workers: int = 1,
-    symmetry: str = "both",
+    *,
+    _vertex: bool = True,
 ) -> SearchOutcome:
     """Backtracking search over k-colorings of K_n for one lacking a
     monochromatic kappa-connected m-set.
@@ -421,14 +417,12 @@ def exists_avoiding_coloring(
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
-    node_budget < 0, workers < 1, a node budget with workers > 1, or a
-    symmetry other than "both" or "color" raises ValueError before any
-    table or worker pool is built; for n <= 1 there is no edge to color, and
-    K_n is avoiding after 0 nodes.
+    node_budget < 0, workers < 1 or a node budget with workers > 1 raises
+    ValueError before any table or worker pool is built; for n <= 1 there
+    is no edge to color, and K_n is avoiding after 0 nodes.
 
-    Symmetry breaking (see _backtrack): symmetry="color" keeps first use
-    alone, the search without vertex reduction kept as the oracle for the
-    default "both", which adds the sb_l floor.  "both" is sound.  Relabeling
+    Symmetry breaking (see _backtrack) is first use plus the sb_l floor
+    (the private _vertex=False drops the floor), and it is sound.  Relabeling
     the vertices and permuting the colors map avoiding colorings to avoiding
     ones.  Read a coloring x as its colors in colex order and compare such
     sequences lexicographically.  First use holds exactly when x <= tau x
@@ -438,9 +432,9 @@ def exists_avoiding_coloring(
     i's entry in the first column where rows i and i+1 differ.  Both are
     lex-leader constraints under one order, so the lex-least coloring of
     each orbit under relabeling and recoloring satisfies both, and it is
-    avoiding when the orbit is.  So "both" finds an avoiding coloring
-    exactly when one exists; a separate vertex-only mode would be sound for
-    the same reason but prunes less, so there is none.
+    avoiding when the orbit is.  So the search finds an avoiding coloring
+    exactly when one exists; vertex reduction alone would be sound for the
+    same reason but prunes less.
 
     A node budget turns nontermination risk into an explicit "unknown"
     outcome.  The work is split into the color prefixes of _prefixes(k,
@@ -451,12 +445,12 @@ def exists_avoiding_coloring(
     avoiding coloring.  The prefixes follow `workers`, not the process
     count, so the outcome does not depend on the machine: it is the serial
     kind and coloring, and the stats add up the prefixes up to and
-    including that one.  Under "both" a prefix the floor rules out ends
-    after the nodes of its allowed positions.
+    including that one.  A prefix the floor rules out ends after the nodes
+    of its allowed positions.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
-    _check_search_args(m, kappa, k, node_budget, symmetry)
+    _check_search_args(m, kappa, k, node_budget)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got workers={workers}")
     if workers > 1 and node_budget is not None:
@@ -464,11 +458,11 @@ def exists_avoiding_coloring(
     start = time.perf_counter()
     prefixes = _prefixes(k, workers, n * (n - 1) // 2)
     if len(prefixes) == 1:
-        return _backtrack(n, m, kappa, k, node_budget, symmetry=symmetry)[0]
+        return _backtrack(n, m, kappa, k, node_budget, vertex=_vertex)[0]
 
     import multiprocessing
 
-    args = [(n, m, kappa, k, None, p, None, symmetry) for p in prefixes]
+    args = [(n, m, kappa, k, None, p, None, _vertex) for p in prefixes]
     total = SearchStats()
     kind, coloring = EXHAUSTED, None
     # imap yields in prefix order, which is the serial DFS order, so the
@@ -518,7 +512,8 @@ def ramsey_number(
     k: int,
     n_max: int,
     node_budget: int | None = None,
-    symmetry: str = "both",
+    *,
+    _vertex: bool = True,
 ) -> RamseyResult:
     """Least n <= n_max such that every k-coloring of K_n has a
     monochromatic kappa-connected m-set, with per-n search outcomes;
@@ -535,15 +530,15 @@ def ramsey_number(
     from the start of the search to that n's decision, so it never
     decreases with n.
 
-    `symmetry` is exists_avoiding_coloring's, and the sweep holds in both
-    modes: first use and the sb_l floor at a position of K_n read only the
+    `_vertex` is exists_avoiding_coloring's, and the sweep holds either
+    way: first use and the sb_l floor at a position of K_n read only the
     positions before it, so inside K_n they prune exactly as in a search of
     K_n alone.
     """
-    _check_search_args(m, kappa, k, node_budget, symmetry)
+    _check_search_args(m, kappa, k, node_budget)
     if n_max < m:
         raise ValueError("need n_max >= m")
-    searched = _backtrack(n_max, m, kappa, k, node_budget, start=m, symmetry=symmetry)
+    searched = _backtrack(n_max, m, kappa, k, node_budget, start=m, vertex=_vertex)
     outcomes = {o.n: o for o in searched}
     last = searched[-1]
     if last.kind == EXHAUSTED:

@@ -169,9 +169,9 @@ def test_criterion_8_search_completeness():
                         arrow_check(c, kappa, m) is None
                         for c in enumerate_all_colorings(n, k)
                     )
-                    for symmetry in ("both", "color"):
-                        native = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
-                        assert (native.kind == AVOIDING) == literal, symmetry
+                    for vertex in (True, False):
+                        native = exists_avoiding_coloring(n, m, kappa, k, _vertex=vertex)
+                        assert (native.kind == AVOIDING) == literal, vertex
                     points += 1
     print(f"ACCEPTANCE 8 PASS: search matches literal enumeration at all "
           f"{points} grid points, with and without vertex symmetry breaking")

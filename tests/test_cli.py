@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hcramsey import cli
 from hcramsey.cli import DEFAULT_SEED, main, outcome_digest
 from hcramsey.colorings import format_coloring_text, parse_coloring_text
 from hcramsey.graphs import Graph, format_graph_text
@@ -60,10 +62,14 @@ def test_number_reproduces_classical_value(tmp_path, capsys):
     (("--m", "3", "--kappa", "2", "--colors", "3", "--nmax", "10"), 0, "> 10",
      "2debfe1b9ed7c278"),
 ])
-def test_number_manifest_digests_are_pinned(tmp_path, capsys, args, code, printed, digest):
-    # Pinned from the search that ran each n from scratch: reading every n
-    # off one search must leave each n's kind, counts and coloring as they were.
-    got, store = run(tmp_path, "number", *args, "--symmetry", "color")
+def test_number_manifest_digests_are_pinned(tmp_path, monkeypatch, capsys, args, code,
+                                           printed, digest):
+    # Pinned, without the vertex floor, from the search that ran each n from
+    # scratch: reading every n off one search must leave each n's kind,
+    # counts and coloring as they were.
+    monkeypatch.setattr(cli, "ramsey_number",
+                        functools.partial(cli.ramsey_number, _vertex=False))
+    got, store = run(tmp_path, "number", *args)
     assert (got, capsys.readouterr().out.strip()) == (code, printed)
     (manifest,) = manifests(store)
     assert manifest["digest"][:16] == digest
@@ -76,29 +82,13 @@ def test_number_manifest_digests_are_pinned(tmp_path, capsys, args, code, printe
     (("--m", "3", "--kappa", "2", "--colors", "3", "--nmax", "10"), 0, "> 10",
      "b7b02759b6c6e203"),
 ])
-def test_number_manifest_digests_under_both(tmp_path, capsys, args, code, printed, digest):
-    # The default symmetry prints what color mode prints, from other counts
-    # and colorings; the manifest records the mode under params only.
+def test_number_manifest_digests_with_the_floor(tmp_path, capsys, args, code, printed, digest):
+    # The vertex floor prints what the search without it prints, from other
+    # counts and colorings.
     got, store = run(tmp_path, "number", *args)
     assert (got, capsys.readouterr().out.strip()) == (code, printed)
     (manifest,) = manifests(store)
     assert manifest["digest"][:16] == digest
-    assert manifest["params"]["symmetry"] == "both"
-    assert "symmetry" not in json.dumps(manifest["outcome"])
-
-
-@pytest.mark.parametrize("command, args", [
-    ("search", ("--n", "6", "--m", "3", "--kappa", "3", "--colors", "2")),
-    ("number", ("--m", "3", "--kappa", "3", "--colors", "2", "--nmax", "6")),
-])
-def test_symmetry_is_a_choice(tmp_path, capsys, command, args):
-    code, store = run(tmp_path, command, *args, "--symmetry", "color")
-    assert code == 0
-    assert manifests(store)[0]["params"]["symmetry"] == "color"
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, command, *args, "--symmetry", "vertex")
-    assert exc.value.code == 2
-    assert "--symmetry" in capsys.readouterr().err
 
 
 def test_import_does_not_load_multiprocessing():

@@ -30,7 +30,6 @@ from hcramsey.search import (
     ENUMERATION_LIMIT,
     EXHAUSTED,
     PATTERN_LIMIT,
-    SYMMETRIES,
     UNKNOWN,
     SearchOutcome,
     _backtrack,
@@ -246,12 +245,12 @@ class TestExistsAvoidingColoring:
             (6, 6, 1, 2): (EXHAUSTED, (32768, 16384)),
         }
         for (n, m, kappa, k), (kind, pinned) in cases.items():
-            serial = exists_avoiding_coloring(n, m, kappa, k, symmetry="color")
+            serial = exists_avoiding_coloring(n, m, kappa, k, _vertex=False)
             assert serial.kind == kind
             runs = []
             for _ in range(2):
                 runs.append(exists_avoiding_coloring(
-                    n, m, kappa, k, workers=2, symmetry="color",
+                    n, m, kappa, k, workers=2, _vertex=False,
                 ))
                 assert multiprocessing.active_children() == []
             counts = [(p.stats.nodes, p.stats.forbidden_prunes) for p in runs]
@@ -268,7 +267,7 @@ class TestExistsAvoidingColoring:
             if pinned is not None:
                 assert counts[0] == pinned
 
-    def test_parallel_workers_agree_under_both(self):
+    def test_parallel_workers_agree_with_the_floor(self):
         # Each prefix is searched under the floor, so the first avoiding
         # prefix still holds the serial coloring.
         for n, m, kappa, k in [(5, 3, 3, 2), (6, 3, 3, 2), (7, 4, 2, 2), (8, 5, 1, 3),
@@ -302,9 +301,9 @@ class TestExistsAvoidingColoring:
         killer = threading.Thread(target=kill_a_worker)
         killer.start()
         # Untouched, this search is exhausted after 745,592 nodes, about
-        # 0.8 s on two workers; the default symmetry ends it before the kill.
+        # 0.8 s on two workers; the vertex floor ends it before the kill.
         with pytest.raises(RuntimeError, match="exited with code -9"):
-            exists_avoiding_coloring(8, 6, 2, 2, workers=2, symmetry="color")
+            exists_avoiding_coloring(8, 6, 2, 2, workers=2, _vertex=False)
         killer.join()
         assert killed
         assert multiprocessing.active_children() == []
@@ -316,9 +315,9 @@ class TestExistsAvoidingColoring:
                 arrow_check(c, kappa, m) is None
                 for c in enumerate_all_colorings(n, k)
             )
-            for symmetry in SYMMETRIES:
-                out = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
-                assert (out.kind == AVOIDING) == literal, symmetry
+            for vertex in (True, False):
+                out = exists_avoiding_coloring(n, m, kappa, k, _vertex=vertex)
+                assert (out.kind == AVOIDING) == literal, vertex
 
     def test_hierarchy_witness_reuse(self):
         # n = 6 proves the highly-connected arrow at m = 3; the same
@@ -355,7 +354,7 @@ PINNED_SEARCH_COUNTS = {
 
 @pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS))
 def test_pinned_search_counts(params):
-    out = exists_avoiding_coloring(*params, symmetry="color")
+    out = exists_avoiding_coloring(*params, _vertex=False)
     assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
         PINNED_SEARCH_COUNTS[params]
     )
@@ -364,8 +363,8 @@ def test_pinned_search_counts(params):
         assert arrow_check(out.coloring, kappa, m) is None
 
 
-# The same rows and more under the default symmetry, "both".
-PINNED_SEARCH_COUNTS_BOTH = {
+# The same rows and more with the vertex floor, as the search runs by default.
+PINNED_SEARCH_COUNTS_FLOOR = {
     (6, 3, 3, 2): (EXHAUSTED, 53, 20),
     (6, 3, 1, 2): (EXHAUSTED, 6, 3),
     (7, 4, 2, 2): (EXHAUSTED, 102, 36),
@@ -380,11 +379,11 @@ PINNED_SEARCH_COUNTS_BOTH = {
 }
 
 
-@pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS_BOTH))
-def test_pinned_search_counts_under_both(params):
+@pytest.mark.parametrize("params", sorted(PINNED_SEARCH_COUNTS_FLOOR))
+def test_pinned_search_counts_with_the_floor(params):
     out = exists_avoiding_coloring(*params)
     assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
-        PINNED_SEARCH_COUNTS_BOTH[params]
+        PINNED_SEARCH_COUNTS_FLOOR[params]
     )
     if out.kind == AVOIDING:
         n, m, kappa, k = params
@@ -426,12 +425,12 @@ def _rows_ordered(c):
     return True
 
 
-def _breaks_symmetry(c, symmetry):
-    """Whether c satisfies first use, in colex order, and, for "both", sb_l."""
-    return _first_use(_colex(c)) and (symmetry == "color" or _rows_ordered(c))
+def _breaks_symmetry(c, vertex=True):
+    """Whether c satisfies first use, in colex order, and, with `vertex`, sb_l."""
+    return _first_use(_colex(c)) and (not vertex or _rows_ordered(c))
 
 
-def _colorings_breaking_symmetry(n, k, symmetry):
+def _colorings_breaking_symmetry(n, k, vertex):
     """Every k-coloring of K_n that breaks symmetry, in the order of their
     colex color sequences."""
     lex = {p: e for e, p in enumerate(all_pairs(n))}
@@ -443,7 +442,7 @@ def _colorings_breaking_symmetry(n, k, symmetry):
         for e, color in zip(colex, seq):
             colors[e] = color
         c = EdgeColoring(n, k, tuple(colors))
-        if symmetry == "color" or _rows_ordered(c):
+        if not vertex or _rows_ordered(c):
             yield c
 
 
@@ -460,7 +459,7 @@ def test_floor_admits_exactly_the_colorings_with_ordered_rows(n, k):
 
 @pytest.mark.parametrize("n, k", [(4, 2), (4, 3), (5, 2), (6, 2)])
 def test_lex_least_coloring_of_each_orbit_breaks_both_symmetries(n, k):
-    # Why "both" is sound: first use and sb_l are lex-leader constraints
+    # Why the search is sound: first use and sb_l are lex-leader constraints
     # under the one order of colex color sequences, so the least coloring
     # of every orbit under relabeling and recoloring satisfies both.
     pairs = all_pairs(n)
@@ -477,26 +476,26 @@ def test_lex_least_coloring_of_each_orbit_breaks_both_symmetries(n, k):
                  for relabel in relabels for recolor in recolors}
         done |= orbit
         least = min((EdgeColoring(n, k, colors) for colors in orbit), key=_colex)
-        assert _breaks_symmetry(least, "both"), least
+        assert _breaks_symmetry(least), least
         orbits += 1
     assert len(done) == k ** len(pairs) and orbits > 1
 
 
-@pytest.mark.parametrize("n, k, symmetry", [
-    (4, 2, "both"), (5, 2, "both"), (6, 2, "both"), (4, 3, "both"), (5, 3, "both"),
-    (4, 2, "color"), (5, 2, "color"), (4, 3, "color"),
+@pytest.mark.parametrize("n, k, vertex", [
+    (4, 2, True), (5, 2, True), (6, 2, True), (4, 3, True), (5, 3, True),
+    (4, 2, False), (5, 2, False), (4, 3, False),
 ])
-def test_search_finds_the_least_avoiding_coloring_that_breaks_symmetry(n, k, symmetry):
+def test_search_finds_the_least_avoiding_coloring_that_breaks_symmetry(n, k, vertex):
     # The loop tries colors upward in colex order and prunes only m-sets
     # that no completion can save, so its coloring is the least avoiding one
     # that breaks symmetry, and it is exhausted when there is none.  The
     # colorings that break symmetry are found here by comparing rows, not
     # by the search's floor.
-    kept = list(_colorings_breaking_symmetry(n, k, symmetry))
+    kept = list(_colorings_breaking_symmetry(n, k, vertex))
     for m in range(3, n + 1):
         for kappa in range(1, m):
             want = next((c for c in kept if arrow_check(c, kappa, m) is None), None)
-            out = exists_avoiding_coloring(n, m, kappa, k, symmetry=symmetry)
+            out = exists_avoiding_coloring(n, m, kappa, k, _vertex=vertex)
             assert out.coloring == want, (m, kappa)
             assert out.kind == (EXHAUSTED if want is None else AVOIDING)
 
@@ -634,16 +633,6 @@ def test_worker_count_below_one_is_refused_before_building_a_table(monkeypatch, 
     _refused_before_any_table(monkeypatch, "need workers >= 1", 6, 3, 3, 2, workers=workers)
 
 
-@pytest.mark.parametrize("search, args", [
-    (exists_avoiding_coloring, (6, 3, 3, 2)),
-    (ramsey_number, (3, 3, 2, 6)),
-])
-def test_unknown_symmetry_is_refused_before_building_a_table(monkeypatch, search, args):
-    _refused_before_any_table(
-        monkeypatch, "need symmetry in", *args, symmetry="vertex", search=search,
-    )
-
-
 @pytest.mark.parametrize("node_budget", [3000, 0])
 def test_budget_with_workers_is_refused_before_building_a_table(monkeypatch, node_budget):
     # A budget split across the prefixes made the verdict depend on the
@@ -672,7 +661,7 @@ def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind
 
     monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers, symmetry="color")
+    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers, _vertex=False)
     assert sizes == [cpus]
     assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
     assert multiprocessing.active_children() == []
@@ -739,10 +728,10 @@ PINNED_PREFIX_COUNTS = {
 }
 
 
-# The same under "both".  A prefix the floor rules out at its last position
+# The same with the vertex floor.  A prefix the floor rules out at its last position
 # ends after the nodes of the positions before it: in (0, 1, 0), pair (1, 2)
 # is below (0, 2), so row 0 exceeds row 1 in column 2, the first compared.
-PINNED_PREFIX_COUNTS_BOTH = {
+PINNED_PREFIX_COUNTS_FLOOR = {
     (6, 6, 1, 2, 2): {
         (0, 0): (EXHAUSTED, 847, 313),
         (0, 1): (EXHAUSTED, 51, 11),
@@ -760,10 +749,10 @@ PINNED_PREFIX_COUNTS_BOTH = {
 }
 
 
-def _prefix_counts(n, m, kappa, k, workers, symmetry):
+def _prefix_counts(n, m, kappa, k, workers, vertex):
     got = {}
     for prefix in _prefixes(k, workers, n * (n - 1) // 2):
-        (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix, symmetry=symmetry)
+        (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix, vertex=vertex)
         got[prefix] = (out.kind, out.stats.nodes, out.stats.forbidden_prunes)
         if out.kind == AVOIDING:
             assert arrow_check(out.coloring, kappa, m) is None
@@ -772,21 +761,21 @@ def _prefix_counts(n, m, kappa, k, workers, symmetry):
 
 @pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS))
 def test_prefix_counts_searched_in_process(n, m, kappa, k, workers):
-    got = _prefix_counts(n, m, kappa, k, workers, "color")
+    got = _prefix_counts(n, m, kappa, k, workers, False)
     assert got == PINNED_PREFIX_COUNTS[n, m, kappa, k, workers]
 
 
-@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS_BOTH))
-def test_prefix_counts_searched_in_process_under_both(n, m, kappa, k, workers):
-    got = _prefix_counts(n, m, kappa, k, workers, "both")
-    assert got == PINNED_PREFIX_COUNTS_BOTH[n, m, kappa, k, workers]
+@pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS_FLOOR))
+def test_prefix_counts_searched_in_process_with_the_floor(n, m, kappa, k, workers):
+    got = _prefix_counts(n, m, kappa, k, workers, True)
+    assert got == PINNED_PREFIX_COUNTS_FLOOR[n, m, kappa, k, workers]
 
 
 def test_every_j_is_read_off_at_one_site():
     # K_0 and K_1 are read off at position 0 before any node, and every
     # later K_j when the loop first colors all its edges.
     got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
-           for o in _backtrack(7, 3, 3, 2, None, start=0, symmetry="color")]
+           for o in _backtrack(7, 3, 3, 2, None, start=0, vertex=False)]
     assert got == [
         (0, AVOIDING, 0, 0),
         (1, AVOIDING, 0, 0),
@@ -868,14 +857,14 @@ def test_budgeted_search_memory_follows_its_budget(search, expected):
     assert peak < 1 << 20
 
 
-def _panel_counts_digest(symmetry):
+def _panel_counts_digest(vertex):
     """(kind, nodes, prunes, coloring) of every n searched by a panel of
     ramsey_number calls, hashed."""
     h = hashlib.sha256()
     for m, kappa, k, n_max, budget in [
         (3, 3, 2, 6, None), (5, 2, 2, 9, None), (6, 1, 2, 8, None), (3, 2, 3, 14, 3_000),
     ]:
-        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry=symmetry)
+        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, _vertex=vertex)
         for n, o in sorted(result.outcomes.items()):
             colors = None if o.coloring is None else o.coloring.colors
             row = (m, kappa, k, n, o.kind, o.stats.nodes, o.stats.forbidden_prunes, colors)
@@ -884,14 +873,14 @@ def _panel_counts_digest(symmetry):
 
 
 def test_panel_counts_digest():
-    # Pinned in color mode from the search that checked each m-set by one
+    # Pinned without the vertex floor from the search that checked each m-set by one
     # connectivity-table lookup per color: a change to how m-sets are
     # checked, or to the order they are read in, must keep it byte-identical.
-    assert _panel_counts_digest("color") == "65ab8300a6cde6e9"
+    assert _panel_counts_digest(False) == "65ab8300a6cde6e9"
 
 
-def test_panel_counts_digest_under_both():
-    assert _panel_counts_digest("both") == "7efa2d80e0660ca5"
+def test_panel_counts_digest_with_the_floor():
+    assert _panel_counts_digest(True) == "7efa2d80e0660ca5"
 
 
 # (m, kappa, k, n_max, budget): unknown in the middle of a sweep and at its
@@ -914,38 +903,38 @@ SWEEP_GRID = [
 @pytest.mark.parametrize("m, kappa, k, n_max, budget", SWEEP_GRID)
 def test_sweep_matches_a_search_per_n(m, kappa, k, n_max, budget):
     # One search over K_n_max reads off each n; a search of K_n alone, under
-    # the same budget and symmetry, must report the same kind, counts and
+    # the same budget, with or without the vertex floor, must report the same kind, counts and
     # coloring.
-    for symmetry in SYMMETRIES:
-        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry=symmetry)
+    for vertex in (True, False):
+        result = ramsey_number(m, kappa, k, n_max, node_budget=budget, _vertex=vertex)
         last = max(result.outcomes)
         assert sorted(result.outcomes) == list(range(m, last + 1))
         for n, o in result.outcomes.items():
             alone = exists_avoiding_coloring(
-                n, m, kappa, k, node_budget=budget, symmetry=symmetry,
+                n, m, kappa, k, node_budget=budget, _vertex=vertex,
             )
             assert (o.kind, o.stats.nodes, o.stats.forbidden_prunes, o.coloring) == (
                 alone.kind, alone.stats.nodes, alone.stats.forbidden_prunes, alone.coloring
-            ), (symmetry, n)
+            ), (vertex, n)
             assert o.kind == (AVOIDING if n < last else result.outcomes[last].kind)
         walls = [result.outcomes[n].stats.wall_time for n in sorted(result.outcomes)]
         assert walls == sorted(walls)
 
 
 @pytest.mark.parametrize("m, kappa, k, n_max, budget", SWEEP_GRID)
-def test_both_agrees_with_color_wherever_both_resolve(m, kappa, k, n_max, budget):
-    # The vertex floor may only move the frontier; every n that both modes
-    # resolve has one kind, and every avoiding coloring under "both"
-    # avoids and satisfies first use and sb_l.
-    both = ramsey_number(m, kappa, k, n_max, node_budget=budget)
-    color = ramsey_number(m, kappa, k, n_max, node_budget=budget, symmetry="color")
-    for n in both.outcomes.keys() & color.outcomes.keys():
-        kinds = both.outcomes[n].kind, color.outcomes[n].kind
+def test_floor_agrees_with_first_use_alone_wherever_both_resolve(m, kappa, k, n_max, budget):
+    # The vertex floor may only move the frontier; every n that both
+    # searches resolve has one kind, and every avoiding coloring found with
+    # the floor avoids and satisfies first use and sb_l.
+    floor = ramsey_number(m, kappa, k, n_max, node_budget=budget)
+    alone = ramsey_number(m, kappa, k, n_max, node_budget=budget, _vertex=False)
+    for n in floor.outcomes.keys() & alone.outcomes.keys():
+        kinds = floor.outcomes[n].kind, alone.outcomes[n].kind
         assert UNKNOWN in kinds or kinds[0] == kinds[1], n
-    for o in both.outcomes.values():
+    for o in floor.outcomes.values():
         if o.kind == AVOIDING:
             assert arrow_check(o.coloring, kappa, m) is None
-            assert _breaks_symmetry(o.coloring, "both"), o.coloring
+            assert _breaks_symmetry(o.coloring), o.coloring
 
 
 def test_search_depth_does_not_grow_with_n():
