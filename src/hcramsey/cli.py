@@ -159,8 +159,7 @@ def cmd_arrow(args):
 
 def cmd_search(args):
     result = exists_avoiding_coloring(
-        args.n, args.m, args.kappa, args.colors,
-        node_budget=args.budget, workers=args.workers,
+        args.n, args.m, args.kappa, args.colors, node_budget=args.budget,
     )
     outcome = result.to_json_dict()
     outcome["tool_version"] = __version__
@@ -313,10 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=int, required=True)
     p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for the color prefixes; one color, one edge or "
-                   "--workers 1 gives one prefix, searched in process")
-    p.add_argument("--budget", type=int, help=BUDGET_HELP + "; needs --workers 1")
+    p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("number", help="finite connected Ramsey number",

@@ -4,7 +4,6 @@ avoiding colorings, and computing finite connected Ramsey numbers."""
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -66,7 +65,6 @@ class SearchOutcome:
     kind: str  # avoiding | exhausted | unknown
     coloring: EdgeColoring | None
     stats: SearchStats
-    workers: int = 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,7 +76,9 @@ class SearchOutcome:
                 "forbidden_prunes": self.stats.forbidden_prunes,
                 "wall_time": self.stats.wall_time,
             },
-            "workers": self.workers,
+            # One process always; written so manifest digests stay the same,
+            # and ignored by from_json_dict.
+            "workers": 1,
         }
 
     @classmethod
@@ -88,10 +88,7 @@ class SearchOutcome:
         if data.get("coloring") is not None:
             coloring = EdgeColoring(p["n"], p["k"], tuple(data["coloring"]))
         stats = SearchStats(**data["stats"])
-        return cls(
-            p["n"], p["m"], p["kappa"], p["k"],
-            data["result"], coloring, stats, data.get("workers", 1),
-        )
+        return cls(p["n"], p["m"], p["kappa"], p["k"], data["result"], coloring, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +207,8 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
 
 def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     """Depth-first search over the k-colorings of K_n, one colex position
-    per step of a loop; `prefix` pins the colors of the first positions
-    (used to split work across processes).
+    per step of a loop; `prefix` pins the colors of the first positions, a
+    seed from which the search extends a coloring fixed in advance.
 
     Colex order sorts pairs by (max, min), so (u, v) sits at position
     v(v-1)/2 + u and the m-sets completed by assigning it are exactly {v}
@@ -223,8 +220,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     the loop first reaches C(j,2), else exhausted when the loop ends or
     unknown when the node budget runs out.  Returns one SearchOutcome per j
     from start, ending at n or at the first j that is not avoiding; each
-    says "workers": 1, and its stats.wall_time is the time from the call to
-    that j's decision.
+    one's stats.wall_time is the time from the call to that j's decision.
 
     The loop has two parts.  Reach, at position 0 and after each color that
     passes, reads off every K_j now colored (K_0 and K_1 as well), lists
@@ -349,21 +345,6 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     return outcomes
 
 
-def _prefixes(k: int, workers: int, nedges: int):
-    """Color prefixes respecting first-use symmetry breaking (color j
-    appears only after every color < j has), one edge deeper at a time
-    while there are fewer than `workers` of them, k > 1 and an edge is left.
-    So workers=1 and k=1 give [()], and one edge gives [(0,)]."""
-    prefixes = [()]
-    while len(prefixes) < workers and k > 1 and len(prefixes[0]) < nedges:
-        prefixes = [p + (c,) for p in prefixes for c in range(min(max(p, default=-1) + 2, k))]
-    return prefixes
-
-
-def _worker(args):
-    return _backtrack(*args)[0]
-
-
 def _check_search_args(m, kappa, k, node_budget):
     """The argument checks shared by exists_avoiding_coloring and
     ramsey_number, made before any table is built."""
@@ -379,23 +360,6 @@ def _check_search_args(m, kappa, k, node_budget):
             f"size limit: the pattern table would hold {k}^{npairs} entries, "
             f"more than 2^24"
         )
-
-
-def _next_result(results, procs):
-    """The next result of a Pool.imap.  A Pool replaces a worker that
-    dies and never returns the prefix it held, so while waiting, a
-    worker of `procs` that exited with a nonzero code is an error."""
-    import multiprocessing
-
-    while True:
-        try:
-            return results.next(timeout=0.1)
-        except multiprocessing.TimeoutError:
-            codes = [p.exitcode for p in procs if p.exitcode]
-            if codes:
-                raise RuntimeError(
-                    f"search worker exited with code {codes[0]}"
-                ) from None
 
 
 def exists_avoiding_coloring(
@@ -417,9 +381,8 @@ def exists_avoiding_coloring(
     first reaches that edge.  A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
-    node_budget < 0, workers < 1 or a node budget with workers > 1 raises
-    ValueError before any table or worker pool is built; for n <= 1 there
-    is no edge to color, and K_n is avoiding after 0 nodes.
+    or node_budget < 0 raises ValueError before any table is built; for
+    n <= 1 there is no edge to color, and K_n is avoiding after 0 nodes.
 
     Symmetry breaking (see _backtrack) is first use plus the sb_l floor
     (the private _vertex=False drops the floor), and it is sound.  Relabeling
@@ -437,52 +400,15 @@ def exists_avoiding_coloring(
     same reason but prunes less.
 
     A node budget turns nontermination risk into an explicit "unknown"
-    outcome.  The work is split into the color prefixes of _prefixes(k,
-    workers, C(n,2)).  One prefix (workers=1, k=1 or n <= 2) means an
-    in-process search, whose outcome says "workers": 1.  Several are
-    searched in parallel by at most os.cpu_count() processes, and the
-    search stops at the first prefix, in serial order, that finds an
-    avoiding coloring.  The prefixes follow `workers`, not the process
-    count, so the outcome does not depend on the machine: it is the serial
-    kind and coloring, and the stats add up the prefixes up to and
-    including that one.  A prefix the floor rules out ends after the nodes
-    of its allowed positions.
+    outcome.  `workers` is accepted and ignored: every search runs in one
+    process.  It stays only because bench/workloads.py still passes
+    workers=2, and goes with the benchmark change that retires that
+    `parallel` entry (ROADMAP items 4 and 8).
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     _check_search_args(m, kappa, k, node_budget)
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got workers={workers}")
-    if workers > 1 and node_budget is not None:
-        raise ValueError(f"a node budget needs workers=1, got workers={workers}")
-    start = time.perf_counter()
-    prefixes = _prefixes(k, workers, n * (n - 1) // 2)
-    if len(prefixes) == 1:
-        return _backtrack(n, m, kappa, k, node_budget, vertex=_vertex)[0]
-
-    import multiprocessing
-
-    args = [(n, m, kappa, k, None, p, None, _vertex) for p in prefixes]
-    total = SearchStats()
-    kind, coloring = EXHAUSTED, None
-    # imap yields in prefix order, which is the serial DFS order, so the
-    # first avoiding prefix holds the serial search's coloring; leaving the
-    # with block terminates the workers still searching later prefixes,
-    # which fork from a parent that holds the pattern table.
-    pattern_table(m, min(kappa, m), k)
-    before = set(multiprocessing.active_children())
-    with multiprocessing.Pool(min(workers, os.cpu_count() or 1)) as pool:
-        procs = set(multiprocessing.active_children()) - before
-        results = pool.imap(_worker, args)
-        for _ in args:
-            o = _next_result(results, procs)
-            total.nodes += o.stats.nodes
-            total.forbidden_prunes += o.stats.forbidden_prunes
-            if o.kind == AVOIDING:
-                kind, coloring = AVOIDING, o.coloring
-                break
-    total.wall_time = time.perf_counter() - start
-    return SearchOutcome(n, m, kappa, k, kind, coloring, total, workers)
+    return _backtrack(n, m, kappa, k, node_budget, vertex=_vertex)[0]
 
 
 @dataclass

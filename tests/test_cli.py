@@ -92,30 +92,40 @@ def test_number_manifest_digests_with_the_floor(tmp_path, capsys, args, code, pr
 
 
 def test_import_does_not_load_multiprocessing():
-    # The pool is started, and multiprocessing imported, only by a search
-    # that splits its work.
+    # Every search runs in one process: workers=2, as the benchmark still
+    # passes it, gives what workers=1 gives and starts no process pool.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); "
-        "import hcramsey, hcramsey.cli; print('multiprocessing' in sys.modules)"
-    )
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import hcramsey, hcramsey.cli
+from hcramsey.search import exists_avoiding_coloring
+for args in [(10, 4, 2, 3), (6, 6, 1, 2)]:
+    one, two = ((o.kind, o.coloring, o.stats.nodes, o.stats.forbidden_prunes)
+                for o in (exists_avoiding_coloring(*args, workers=w) for w in (1, 2)))
+    print(args, one == two, one[2])
+print('multiprocessing' in sys.modules)
+"""
     out = subprocess.run([sys.executable, "-I", "-c", code],
                          capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split("\n") == [
+        "(10, 4, 2, 3) True 14412", "(6, 6, 1, 2) True 897", "False", "",
+    ]
 
 
 def test_manifest_records_seed_and_workers_once(tmp_path, capsys):
-    # The top-level "workers": 2 used to contradict the outcome's 1: one
-    # color is searched in process.
+    # The params hold no worker count; the outcome says the one process
+    # that searched it.
     code, store = run(tmp_path, "search", "--n", "6", "--m", "3", "--kappa", "1",
-                      "--colors", "1", "--workers", "2")
+                      "--colors", "1")
     assert code == 0
     capsys.readouterr()
     (manifest,) = manifests(store)
     assert sorted(manifest) == [
         "command", "digest", "outcome", "params", "tool_version", "wall_time",
     ]
-    assert (manifest["params"]["seed"], manifest["params"]["workers"]) == (DEFAULT_SEED, 2)
+    assert manifest["params"]["seed"] == DEFAULT_SEED
+    assert "workers" not in manifest["params"]
     assert (manifest["outcome"]["seed"], manifest["outcome"]["workers"]) == (DEFAULT_SEED, 1)
 
 
@@ -129,7 +139,6 @@ def test_search_refuses_negative_n(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, message", [
     (("--budget", "-5"), "need node_budget >= 0"),
-    (("--workers", "-3"), "need workers >= 1"),
 ])
 def test_search_refuses_a_negative_budget_or_worker_count(tmp_path, capsys, extra, message):
     code, store = run(tmp_path, "search", "--n", "6", "--m", "3", "--kappa", "3",
@@ -139,18 +148,13 @@ def test_search_refuses_a_negative_budget_or_worker_count(tmp_path, capsys, extr
     assert not store.exists()
 
 
-def test_search_refuses_a_budget_with_workers(tmp_path, capsys):
-    code, store = run(tmp_path, "search", "--n", "9", "--m", "4", "--kappa", "2",
-                      "--colors", "3", "--budget", "3000", "--workers", "2")
-    assert code == 2
-    assert "a node budget needs workers=1" in capsys.readouterr().err
-    assert not store.exists()
-
-
-def test_number_has_no_workers_option(tmp_path, capsys):
+@pytest.mark.parametrize("command, args", [
+    ("search", ("--n", "6", "--m", "3", "--kappa", "3", "--colors", "2")),
+    ("number", ("--m", "3", "--kappa", "3", "--colors", "2", "--nmax", "6")),
+], ids=["search", "number"])
+def test_number_has_no_workers_option(tmp_path, capsys, command, args):
     with pytest.raises(SystemExit) as exc:
-        run(tmp_path, "number", "--m", "3", "--kappa", "3", "--colors", "2",
-            "--nmax", "6", "--workers", "2")
+        run(tmp_path, command, *args, "--workers", "2")
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
 
@@ -342,7 +346,7 @@ def test_verify_model_names_the_line_of_a_bad_literal(tmp_path, capsys):
 
 def test_search_and_number_refuse_a_table_over_the_limit(tmp_path, capsys):
     code, _ = run(tmp_path, "search", "--n", "8", "--m", "7", "--kappa", "1",
-                  "--colors", "3", "--workers", "2")
+                  "--colors", "3")
     assert code == 2
     code, store = run(tmp_path, "number", "--m", "6", "--kappa", "1",
                       "--colors", "4", "--nmax", "8")

@@ -2,13 +2,8 @@ import hashlib
 import inspect
 import json
 import itertools
-import multiprocessing
-import os
 import random
-import signal
 import sys
-import threading
-import time
 import tracemalloc
 
 import pytest
@@ -33,7 +28,6 @@ from hcramsey.search import (
     UNKNOWN,
     SearchOutcome,
     _backtrack,
-    _prefixes,
     arrow_check,
     enumerate_all_colorings,
     exists_avoiding_coloring,
@@ -231,83 +225,6 @@ class TestExistsAvoidingColoring:
         out = exists_avoiding_coloring(6, 3, 3, 2, node_budget=3)
         assert out.kind == UNKNOWN
 
-    def test_parallel_workers_agree(self):
-        # (n, m, kappa, k) -> (kind, pinned (nodes, forbidden_prunes) of
-        # workers=2).  Results are read in serial prefix order and the
-        # search stops at the first avoiding prefix, so two workers give
-        # the serial kind and coloring, and counts that repeat exactly.
-        cases = {
-            (5, 3, 3, 2): (AVOIDING, None),
-            (6, 3, 3, 2): (EXHAUSTED, None),
-            (7, 4, 2, 2): (EXHAUSTED, None),
-            (8, 5, 1, 3): (AVOIDING, None),
-            (10, 4, 2, 3): (AVOIDING, None),
-            (6, 6, 1, 2): (EXHAUSTED, (32768, 16384)),
-        }
-        for (n, m, kappa, k), (kind, pinned) in cases.items():
-            serial = exists_avoiding_coloring(n, m, kappa, k, _vertex=False)
-            assert serial.kind == kind
-            runs = []
-            for _ in range(2):
-                runs.append(exists_avoiding_coloring(
-                    n, m, kappa, k, workers=2, _vertex=False,
-                ))
-                assert multiprocessing.active_children() == []
-            counts = [(p.stats.nodes, p.stats.forbidden_prunes) for p in runs]
-            assert counts[0] == counts[1]
-            for par in runs:
-                assert (par.kind, par.coloring) == (serial.kind, serial.coloring)
-            if kind == AVOIDING:
-                assert arrow_check(runs[0].coloring, kappa, m) is None
-                # The first prefix decides here, so a search that stops
-                # there counts exactly the serial nodes and prunes.
-                assert counts[0] == (
-                    serial.stats.nodes, serial.stats.forbidden_prunes
-                )
-            if pinned is not None:
-                assert counts[0] == pinned
-
-    def test_parallel_workers_agree_with_the_floor(self):
-        # Each prefix is searched under the floor, so the first avoiding
-        # prefix still holds the serial coloring.
-        for n, m, kappa, k in [(5, 3, 3, 2), (6, 3, 3, 2), (7, 4, 2, 2), (8, 5, 1, 3),
-                               (10, 4, 2, 3), (6, 6, 1, 2), (8, 6, 2, 2)]:
-            serial = exists_avoiding_coloring(n, m, kappa, k)
-            par = exists_avoiding_coloring(n, m, kappa, k, workers=2)
-            assert (par.kind, par.coloring) == (serial.kind, serial.coloring)
-            assert multiprocessing.active_children() == []
-
-    def test_parallel_search_builds_the_pattern_table_in_the_parent(self):
-        # Workers forked from a parent without the table would each build
-        # their own.
-        pattern_table.cache_clear()
-        exists_avoiding_coloring(6, 3, 3, 2, workers=2)
-        assert pattern_table.cache_info().currsize == 1
-
-    def test_parallel_search_raises_when_a_worker_dies(self):
-        killed = []
-
-        def kill_a_worker():
-            # Kill one mid-search, as an out-of-memory kill would.
-            for _ in range(200):
-                time.sleep(0.05)
-                children = multiprocessing.active_children()
-                if children:
-                    time.sleep(0.3)
-                    os.kill(children[0].pid, signal.SIGKILL)
-                    killed.append(children[0].pid)
-                    return
-
-        killer = threading.Thread(target=kill_a_worker)
-        killer.start()
-        # Untouched, this search is exhausted after 745,592 nodes, about
-        # 0.8 s on two workers; the vertex floor ends it before the kill.
-        with pytest.raises(RuntimeError, match="exited with code -9"):
-            exists_avoiding_coloring(8, 6, 2, 2, workers=2, _vertex=False)
-        killer.join()
-        assert killed
-        assert multiprocessing.active_children() == []
-
     def test_completeness_small_grid(self):
         # spot sample; the full n <= 5 grid runs in the acceptance suite
         for n, m, kappa, k in [(4, 3, 2, 2), (4, 4, 1, 2), (5, 3, 3, 2), (3, 2, 1, 2)]:
@@ -329,14 +246,31 @@ class TestExistsAvoidingColoring:
         lambda: [exists_avoiding_coloring(5, 3, 3, 2)],
         lambda: [exists_avoiding_coloring(6, 3, 3, 2)],
         lambda: [exists_avoiding_coloring(6, 3, 3, 2, node_budget=3)],
-        lambda: [exists_avoiding_coloring(6, 3, 3, 2, workers=2)],
+        lambda: [POOL_RECORD],
         lambda: list(ramsey_number(3, 2, 3, 14, node_budget=3_000).outcomes.values()),
     ], ids=["avoiding", "exhausted", "unknown", "workers-2", "sweep"])
     def test_outcome_json_round_trip(self, records):
-        # A manifest line must give back the record it was written from.
+        # A manifest line must give back the record it was written from.  A
+        # line the process pool wrote still loads, and writes back as the
+        # one process that searches now.
         for out in records():
+            if isinstance(out, dict):
+                loaded = SearchOutcome.from_json_dict(out)
+                assert loaded.to_json_dict() == {**out, "workers": 1}
+                continue
             data = json.loads(json.dumps(out.to_json_dict()))
             assert SearchOutcome.from_json_dict(data) == out
+
+
+# exists_avoiding_coloring(6, 3, 3, 2, workers=2) as the process pool wrote
+# it: two prefixes, each counting the shared first node.
+POOL_RECORD = {
+    "params": {"n": 6, "m": 3, "kappa": 3, "k": 2},
+    "result": "exhausted",
+    "coloring": None,
+    "stats": {"nodes": 54, "forbidden_prunes": 20, "wall_time": 0.036357750999741256},
+    "workers": 2,
+}
 
 
 # (n, m, kappa, k) -> (kind, nodes, forbidden_prunes).  Any way of checking
@@ -571,12 +505,7 @@ def test_pattern_table_sampled(m, k):
         assert bad[p] == (_pattern_value(table, m, k, p) >= 2), p
 
 
-def _refused_before_any_table(monkeypatch, match, *args, search=exists_avoiding_coloring,
-                              **kwargs):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+def _refused_before_any_table(match, *args, search=exists_avoiding_coloring, **kwargs):
     before = connectivity_table.cache_info(), pattern_table.cache_info()
     with pytest.raises(ValueError, match=match):
         search(*args, **kwargs)
@@ -585,19 +514,16 @@ def _refused_before_any_table(monkeypatch, match, *args, search=exists_avoiding_
 
 
 @pytest.mark.parametrize("m, k", [(7, 3), (6, 4), (5, 6), (4, 17)])
-def test_pattern_limit_refuses_before_building_a_table(monkeypatch, m, k):
+def test_pattern_limit_refuses_before_building_a_table(m, k):
     assert k ** (m * (m - 1) // 2) > PATTERN_LIMIT
     assert (k - 1) ** (m * (m - 1) // 2) <= PATTERN_LIMIT
-    _refused_before_any_table(monkeypatch, "size limit", m + 1, m, 1, k, workers=2)
+    _refused_before_any_table("size limit", m + 1, m, 1, k)
 
 
-def test_m_above_the_table_limit_refuses_before_building_a_table(monkeypatch):
+def test_m_above_the_table_limit_refuses_before_building_a_table():
     # One color gives a one-entry pattern table, within PATTERN_LIMIT, but
     # no connectivity table covers m = 8.
-    _refused_before_any_table(
-        monkeypatch, "size limit: connectivity tables cover m <= 7",
-        9, 8, 1, 1, workers=2,
-    )
+    _refused_before_any_table("size limit: connectivity tables cover m <= 7", 9, 8, 1, 1)
 
 
 @pytest.mark.parametrize("m, kappa, k, match", [
@@ -605,19 +531,17 @@ def test_m_above_the_table_limit_refuses_before_building_a_table(monkeypatch):
     (4, 1, 17, "size limit: the pattern table"),
     (8, 1, 1, "size limit: connectivity tables cover m <= 7"),
 ])
-def test_ramsey_number_refuses_before_building_a_table(monkeypatch, m, kappa, k, match):
-    _refused_before_any_table(monkeypatch, match, m, kappa, k, m + 2, search=ramsey_number)
+def test_ramsey_number_refuses_before_building_a_table(m, kappa, k, match):
+    _refused_before_any_table(match, m, kappa, k, m + 2, search=ramsey_number)
 
 
 @pytest.mark.parametrize("search, args", [
     (exists_avoiding_coloring, (6, 3, 3, 2)),
     (ramsey_number, (3, 3, 2, 6)),
 ])
-def test_negative_budget_is_refused_before_building_a_table(monkeypatch, search, args):
+def test_negative_budget_is_refused_before_building_a_table(search, args):
     # Unchecked, -5 read as "unknown after 1 node".
-    _refused_before_any_table(
-        monkeypatch, "need node_budget >= 0", *args, node_budget=-5, search=search,
-    )
+    _refused_before_any_table("need node_budget >= 0", *args, node_budget=-5, search=search)
 
 
 def test_zero_budget_is_unknown_after_one_node():
@@ -627,89 +551,10 @@ def test_zero_budget_is_unknown_after_one_node():
     assert (result.status, list(result.outcomes)) == (UNKNOWN, [3])
 
 
-@pytest.mark.parametrize("workers", [0, -3])
-def test_worker_count_below_one_is_refused_before_building_a_table(monkeypatch, workers):
-    # -3 used to run serially and record "workers": -3 in the outcome.
-    _refused_before_any_table(monkeypatch, "need workers >= 1", 6, 3, 3, 2, workers=workers)
-
-
-@pytest.mark.parametrize("node_budget", [3000, 0])
-def test_budget_with_workers_is_refused_before_building_a_table(monkeypatch, node_budget):
-    # A budget split across the prefixes made the verdict depend on the
-    # worker count: (9, 4, 2, 3) with 3,000 nodes was unknown serially and
-    # avoiding with 2 workers.
-    _refused_before_any_table(
-        monkeypatch, "a node budget needs workers=1", 9, 4, 2, 3,
-        node_budget=node_budget, workers=2,
-    )
-
-
-@pytest.mark.parametrize("cpus, workers, kind, nodes", [
-    # Serially 32,767 nodes; each prefix counts the first nodes again.
-    (1, 2, EXHAUSTED, 32768),  # two prefixes
-    (2, 3, EXHAUSTED, 32772),  # four prefixes
-])
-def test_pool_holds_at_most_one_process_per_cpu(monkeypatch, cpus, workers, kind, nodes):
-    # The prefix split follows `workers`, so the outcome is the one an
-    # uncapped pool of `workers` processes gives.
-    sizes = []
-    real_pool = multiprocessing.Pool
-
-    def recording_pool(processes, *args, **kwargs):
-        sizes.append(processes)
-        return real_pool(processes, *args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    out = exists_avoiding_coloring(6, 6, 1, 2, workers=workers, _vertex=False)
-    assert sizes == [cpus]
-    assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, workers)
-    assert multiprocessing.active_children() == []
-
-
-def test_one_worker_or_one_color_gives_one_empty_prefix():
-    # One color used to extend the prefix over every edge, never reaching
-    # two prefixes: K_400 took 81 s with workers=2.
-    assert _prefixes(1, 2, 10) == [()]
-    assert _prefixes(2, 1, 10) == [()]
-    assert _prefixes(3, 4, 1) == [(0,)]
-    assert _prefixes(3, 4, 0) == [()]
-
-
-# (k, workers) -> the prefixes over 10 edges, pinned from the split that
-# ran only for k >= 2 and workers >= 2.
-PINNED_PREFIXES = {
-    (2, 2): [(0, 0), (0, 1)],
-    (2, 3): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)],
-    (2, 4): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)],
-    (2, 5): [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
-             (0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 1, 1)],
-    **{(k, 2): [(0, 0), (0, 1)] for k in (3, 4)},
-    **{(k, w): [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
-       for k in (3, 4) for w in (3, 4, 5)},
-}
-
-
-@pytest.mark.parametrize("k, workers", sorted(PINNED_PREFIXES))
-def test_prefixes_are_pinned(k, workers):
-    assert _prefixes(k, workers, 10) == PINNED_PREFIXES[k, workers]
-
-
-@pytest.mark.parametrize("n, m, kappa, k, kind, nodes", [
-    (2000, 3, 1, 1, EXHAUSTED, 3),  # one color
-    (2, 3, 2, 2, AVOIDING, 1),  # one edge
-])
-def test_one_prefix_is_searched_in_process(monkeypatch, n, m, kappa, k, kind, nodes):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
-    out = exists_avoiding_coloring(n, m, kappa, k, workers=2)
-    assert (out.kind, out.stats.nodes, out.workers) == (kind, nodes, 1)
-
-
 # (n, m, kappa, k, workers) -> (kind, nodes, forbidden_prunes) of each prefix
-# of _prefixes(k, workers, C(n, 2)), searched in process.
+# that the first-use split for `workers` processes gave, searched as a seed.
+# The split extended every prefix one edge, in every color first use
+# allows, until there were at least `workers` of them.
 PINNED_PREFIX_COUNTS = {
     (6, 6, 1, 2, 2): {
         (0, 0): (EXHAUSTED, 16384, 8192),
@@ -749,9 +594,9 @@ PINNED_PREFIX_COUNTS_FLOOR = {
 }
 
 
-def _prefix_counts(n, m, kappa, k, workers, vertex):
+def _prefix_counts(n, m, kappa, k, prefixes, vertex):
     got = {}
-    for prefix in _prefixes(k, workers, n * (n - 1) // 2):
+    for prefix in prefixes:
         (out,) = _backtrack(n, m, kappa, k, None, prefix=prefix, vertex=vertex)
         got[prefix] = (out.kind, out.stats.nodes, out.stats.forbidden_prunes)
         if out.kind == AVOIDING:
@@ -761,14 +606,14 @@ def _prefix_counts(n, m, kappa, k, workers, vertex):
 
 @pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS))
 def test_prefix_counts_searched_in_process(n, m, kappa, k, workers):
-    got = _prefix_counts(n, m, kappa, k, workers, False)
-    assert got == PINNED_PREFIX_COUNTS[n, m, kappa, k, workers]
+    want = PINNED_PREFIX_COUNTS[n, m, kappa, k, workers]
+    assert _prefix_counts(n, m, kappa, k, want, False) == want
 
 
 @pytest.mark.parametrize("n, m, kappa, k, workers", sorted(PINNED_PREFIX_COUNTS_FLOOR))
 def test_prefix_counts_searched_in_process_with_the_floor(n, m, kappa, k, workers):
-    got = _prefix_counts(n, m, kappa, k, workers, True)
-    assert got == PINNED_PREFIX_COUNTS_FLOOR[n, m, kappa, k, workers]
+    want = PINNED_PREFIX_COUNTS_FLOOR[n, m, kappa, k, workers]
+    assert _prefix_counts(n, m, kappa, k, want, True) == want
 
 
 def test_every_j_is_read_off_at_one_site():
@@ -798,9 +643,9 @@ def test_every_j_is_read_off_at_one_site():
     ]
 
 
-def test_negative_n_is_refused_before_building_a_table(monkeypatch):
+def test_negative_n_is_refused_before_building_a_table():
     # C(-3, 2) = 6: without the check the search colored six bogus edges.
-    _refused_before_any_table(monkeypatch, "need n >= 0", -3, 2, 1, 2)
+    _refused_before_any_table("need n >= 0", -3, 2, 1, 2)
 
 
 @pytest.mark.parametrize("n", [0, 1])
