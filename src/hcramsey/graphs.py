@@ -204,13 +204,15 @@ def is_connected(g: Graph) -> bool:
     return _mask_component(_adj_masks(g), full) == full
 
 
-def _max_disjoint_paths(arcs: list[int], s: int, t: int):
+def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
 
     Unit-capacity flow on the vertex-split digraph (vin(v) = 2v,
     vout(v) = 2v+1), whose arcs out of node a are the bitmask arcs[a];
     returns (value, paths, separator) where paths are vertex tuples and
-    the separator is a minimum vertex cut disjoint from {s, t}.
+    the separator is a minimum vertex cut disjoint from {s, t}.  Once the
+    flow reaches `cap` it returns (cap, (), frozenset()) at once: the
+    caller only needs to know the value is not below it.
     """
     n = len(arcs) // 2
     # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
@@ -224,6 +226,7 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int):
     res[2 * s] = res[2 * t] = 0
     src, snk = 2 * s + 1, 2 * t
     parent = [0] * (2 * n)
+    flow = 0
     while True:
         # Queue order, lowest node first: certificates are deterministic.
         seen = 1 << src
@@ -252,6 +255,9 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int):
             else:
                 res[a] ^= 1 << b
             b = a
+        flow += 1
+        if flow == cap:
+            return flow, (), frozenset()
 
     # Minimum vertex cut from the reach of the final, failing BFS.
     separator = frozenset(
@@ -286,7 +292,16 @@ def _connectivity_certificate(n: int, mask: int):
     """(kappa, pair, paths, separator) for the incomplete graph on n >= 2
     vertices with edge mask `mask`; the minimizing nonadjacent pair (a zero
     bit of mask) is the lexicographically least one, so the first pair with
-    no path ends the scan."""
+    no path ends the scan.
+
+    After the first pair, a later pair replaces the best only with a
+    strictly smaller value, so work that cannot show one is skipped.  The
+    common neighbours of s and t give internally disjoint paths of length
+    2, so a pair with at least the best value of them is passed over
+    without a flow, and any other pair's flow stops once it reaches the
+    best value.  A pair of smaller value runs its flow in full, so the
+    pair, paths and separator returned are those of the scan without the
+    skips."""
     pairs = all_pairs(n)
     # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
     arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
@@ -296,12 +311,18 @@ def _connectivity_certificate(n: int, mask: int):
             arcs[2 * v + 1] |= 1 << 2 * u
     best = None
     for i, (s, t) in enumerate(pairs):
-        if not mask >> i & 1:
-            value, paths, separator = _max_disjoint_paths(arcs, s, t)
-            if best is None or value < best[0]:
-                best = (value, (s, t), paths, separator)
-                if value == 0:
-                    break
+        if mask >> i & 1:
+            continue
+        cap = None if best is None else best[0]
+        # arcs[2v + 1] is v's neighbour set, as the bits of their vin nodes.
+        if cap is not None and (arcs[2 * s + 1] & arcs[2 * t + 1]).bit_count() >= cap:
+            continue
+        value, paths, separator = _max_disjoint_paths(arcs, s, t, cap)
+        if value == cap:
+            continue
+        best = (value, (s, t), paths, separator)
+        if value == 0:
+            break
     assert best is not None
     return best
 
@@ -317,7 +338,10 @@ def vertex_connectivity(g: Graph) -> int:
 
 
 def is_kappa_connected(g: Graph, kappa: int):
-    """Deletion-semantics kappa-connectivity with a certificate."""
+    """Deletion-semantics kappa-connectivity with a certificate; a negative
+    kappa raises ValueError."""
+    if kappa < 0:
+        raise ValueError(f"need kappa >= 0, got kappa={kappa}")
     return is_kappa_connected_mask(g.n, g.mask, kappa)
 
 

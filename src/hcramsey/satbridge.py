@@ -53,7 +53,10 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     pairwise at-most-one clauses; per size-m subset, color, and labeled
     edge-minimal kappa-connected graph on it, a clause forbidding the
     monochromatic copy.  Duplicate clauses are removed and the final order
-    is sorted, so identical parameters give byte-identical DIMACS output."""
+    is sorted, so identical parameters give byte-identical DIMACS output.
+    A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
     # The guard keeps the m! factor of its original placement count, so the

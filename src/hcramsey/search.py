@@ -15,8 +15,8 @@ from .graphs import (
     all_pairs,
     connectivity_table,
     is_kappa_connected_mask,
+    pair_index,
     star_masks,
-    subset_edge_indices,
 )
 
 ENUMERATION_LIMIT = 1 << 16  # most colorings k^C(n,2) one enumeration may yield
@@ -128,27 +128,38 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     (always when m > n: no m-set exists).
 
     "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  Each
-    subset's colors are read once, into one edge mask per color.  A
-    kappa-connected graph on s vertices is complete (degree s-1) or has
-    minimum degree >= kappa, so a color class with a vertex of degree below
-    min(kappa, s-1) is rejected without a connectivity decision; on at most
-    kappa+1 vertices the bound is exact (only complete classes pass).
+    subset's colors are read once, into one edge mask per color; the pair
+    (u, v) of K_n sits at row[u] + v in c.colors.  A kappa-connected graph
+    on s vertices is complete (degree s-1) or has minimum degree >= kappa,
+    so a color class with a vertex of degree below need = min(kappa, s-1)
+    is rejected without a connectivity decision; on at most kappa+1
+    vertices the bound is exact (only complete classes pass).  Minimum
+    degree need implies at least ceil(need * s / 2) edges, so a class with
+    fewer is rejected first, by one bit count: exactly the same classes
+    pass.  A negative kappa raises ValueError.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    if kappa < 0:
+        raise ValueError(f"need kappa >= 0, got kappa={kappa}")
     if mode not in ("exact", "atLeast"):
         raise ValueError(f"unknown mode {mode!r}")
-    if m > c.n:
+    n, colors = c.n, c.colors
+    if m > n:
         return None
-    sizes = [m] if mode == "exact" else range(m, c.n + 1)
+    row = [pair_index(n, u, u + 1) - u - 1 for u in range(n - 1)]
+    sizes = [m] if mode == "exact" else range(m, n + 1)
     for size in sizes:
         need = min(kappa, size - 1)
+        least = (need * size + 1) // 2
         stars = star_masks(size)
-        for subset in itertools.combinations(range(c.n), size):
+        for subset in itertools.combinations(range(n), size):
             masks = [0] * c.k
-            for i, e in enumerate(subset_edge_indices(c.n, subset)):
-                masks[c.colors[e]] |= 1 << i
+            for i, (u, v) in enumerate(itertools.combinations(subset, 2)):
+                masks[colors[row[u] + v]] |= 1 << i
             for xi, mask in enumerate(masks):
+                if mask.bit_count() < least:
+                    continue
                 if any((mask & star).bit_count() < need for star in stars):
                     continue
                 ok, verdict = is_kappa_connected_mask(size, mask, kappa)

@@ -46,6 +46,30 @@ def test_arrow_none_on_forest_coloring(tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("none")
 
 
+def test_negative_kappa_is_refused(tmp_path, capsys):
+    graph_file = tmp_path / "c4.txt"
+    graph_file.write_text(format_graph_text(Graph.cycle(4)))
+    code, store = run(tmp_path, "connectivity", str(graph_file), "--kappa", "-1")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need kappa >= 0, got kappa=-1\n"
+    run(tmp_path, "coloring", "forest", "--n", "6", "--out", str(tmp_path / "f.txt"))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "arrow", str(tmp_path / "f.txt"), "--kappa", "-2", "--m", "3")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need kappa >= 0, got kappa=-2\n"
+    assert len(manifests(store)) == 1  # the coloring only
+
+
+def test_cnf_refuses_negative_n(tmp_path, capsys):
+    code, store = run(tmp_path, "cnf", "--n", "-2", "--m", "3", "--kappa", "2",
+                      "--colors", "2")
+    assert code == 2
+    assert capsys.readouterr().err == "error: need n >= 0, got n=-2\n"
+    assert not store.exists()
+
+
 def test_number_reproduces_classical_value(tmp_path, capsys):
     code, store = run(tmp_path, "number", "--m", "3", "--kappa", "3",
                       "--colors", "2", "--nmax", "6")

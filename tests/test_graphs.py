@@ -132,6 +132,11 @@ class TestKappaConnected:
     def test_kappa_zero_always_true(self):
         assert is_kappa_connected(Graph(2, frozenset()), 0)[0]
 
+    @pytest.mark.parametrize("g", [Graph(2, frozenset()), Graph.complete(3)])
+    def test_negative_kappa_is_refused(self, g):
+        with pytest.raises(ValueError, match=re.escape("need kappa >= 0, got kappa=-1")):
+            is_kappa_connected(g, -1)
+
 
 class TestHighlyConnected:
     def test_complete(self):
@@ -268,21 +273,67 @@ class TestCertificates:
         assert info.maxsize == CERTIFICATE_CACHE_SIZE
         assert info.currsize == CERTIFICATE_CACHE_SIZE
 
-    def test_a_pair_with_no_path_ends_the_scan(self, monkeypatch):
-        # The lexicographically first pair of value 0 is the certificate, so
-        # the edgeless graph on 50 vertices needs one flow, not C(50, 2).
+    @pytest.fixture
+    def flow_calls(self, monkeypatch):
+        """The (s, t) of every _max_disjoint_paths call, from a cold cache."""
         calls = []
         flow = graphs_module._max_disjoint_paths
 
         def counting(*args):
-            calls.append(args[1:])
+            calls.append(args[1:3])
             return flow(*args)
 
         monkeypatch.setattr(graphs_module, "_max_disjoint_paths", counting)
         _connectivity_certificate.cache_clear()
+        return calls
+
+    def test_a_pair_with_no_path_ends_the_scan(self, flow_calls):
+        # The lexicographically first pair of value 0 is the certificate, so
+        # the edgeless graph on 50 vertices needs one flow, not C(50, 2).
         assert vertex_connectivity(Graph(50, frozenset())) == 0
-        assert calls == [(0, 1)]
+        assert flow_calls == [(0, 1)]
         assert _connectivity_certificate(50, 0)[:2] == (0, (0, 1))
+
+    def test_common_neighbours_skip_the_flow(self, flow_calls):
+        # The octahedron K_6 - {01, 23, 45}: (0, 1) has 4 disjoint paths,
+        # and (2, 3) and (4, 5) have 4 common neighbours each, so neither
+        # can go lower and neither runs a flow.
+        g = Graph.from_edges(6, set(all_pairs(6)) - {(0, 1), (2, 3), (4, 5)})
+        value, pair, paths, separator = _connectivity_certificate(g.n, g.mask)
+        assert (value, pair) == (4, (0, 1))
+        assert sorted(p[1] for p in paths) == [2, 3, 4, 5]
+        assert separator == frozenset({2, 3, 4, 5})
+        assert flow_calls == [(0, 1)]
+
+    @staticmethod
+    def _uncapped_certificate(n, mask):
+        """The full flow of each nonadjacent pair in lexicographic order,
+        keeping the first of least value; value 0 can not be beaten."""
+        pairs = all_pairs(n)
+        arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                arcs[2 * u + 1] |= 1 << 2 * v
+                arcs[2 * v + 1] |= 1 << 2 * u
+        best = None
+        for i, (s, t) in enumerate(pairs):
+            if not mask >> i & 1:
+                value, paths, separator = graphs_module._max_disjoint_paths(arcs, s, t)
+                if best is None or value < best[0]:
+                    best = (value, (s, t), paths, separator)
+                if value == 0:
+                    break
+        return best
+
+    def test_skips_keep_the_uncapped_certificate(self):
+        cases = [(n, mask) for n in range(2, 7) for mask in range((1 << n * (n - 1) // 2) - 1)]
+        rng = random.Random(1907)
+        for _ in range(300):
+            g = random_graph(rng.randrange(7, 11), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+            if not g.is_complete():
+                cases.append((g.n, g.mask))
+        for n, mask in cases:
+            assert _connectivity_certificate(n, mask) == self._uncapped_certificate(n, mask), (n, mask)
 
 
 @given(graph_strategy(max_n=7))

@@ -49,6 +49,10 @@ class TestEmitCnf:
         with pytest.raises(ValueError, match="need m >= 2"):
             emit_cnf(*params)
 
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="need n >= 0, got n=-2"):
+            emit_cnf(-2, 3, 2, 2)
+
     def test_size_limit(self):
         with pytest.raises(ValueError, match="size limit"):
             emit_cnf(12, 7, 2, 4)

@@ -3,13 +3,14 @@ import inspect
 import json
 import itertools
 import random
+import re
 import sys
 import tracemalloc
 
 import pytest
 
 import hcramsey.search as search_module
-from hcramsey.colorings import random_coloring
+from hcramsey.colorings import BitstringFamily, random_coloring, sierpinski_coloring
 from hcramsey.graphs import (
     EdgeColoring,
     Graph,
@@ -131,6 +132,13 @@ class TestArrowCheck:
         assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4) is None
         assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4, "atLeast") is None
 
+    def test_negative_kappa_is_refused(self):
+        # Refused even where no m-set exists, before any subset is read.
+        for m in (3, 4):
+            with pytest.raises(ValueError, match=re.escape("need kappa >= 0, got kappa=-2")):
+                arrow_check(EdgeColoring.constant(3, 1, 0), -2, m)
+        assert arrow_check(EdgeColoring.constant(3, 2, 1), 0, 3).color == 0
+
     def test_witness_reverified_by_oracle(self):
         rng = random.Random(5)
         for _ in range(25):
@@ -196,6 +204,30 @@ def test_arrow_check_matches_brute_first_witness():
         small += w is not None and len(w.vertices) <= kappa + 1
         beyond_m += kappa > m
     assert small and beyond_m
+
+
+def _many_color_cases():
+    """Colorings with more colors than _arrow_grid's k <= 3, where most
+    color classes on a small set have too few edges to pass."""
+    colorings = [sierpinski_coloring(BitstringFamily.full(3))]
+    colorings += [random_coloring(9, 6, seed) for seed in range(3)]
+    for c in colorings:
+        for kappa in range(1, 4):
+            for m in range(2, 5):
+                for mode in ("exact", "atLeast"):
+                    yield c, kappa, m, mode
+
+
+def test_arrow_check_with_many_colors_matches_brute_first_witness():
+    sierpinski = next(_many_color_cases())[0]
+    assert (sierpinski.n, sierpinski.k) == (8, 6)
+    missing = 0
+    for c, kappa, m, mode in _many_color_cases():
+        w = arrow_check(c, kappa, m, mode)
+        found = None if w is None else (w.color, w.vertices)
+        assert found == _brute_first_witness(c, kappa, m, mode), (c, kappa, m, mode)
+        missing += w is None
+    assert missing
 
 
 def test_arrow_check_witness_digest_is_stable():
