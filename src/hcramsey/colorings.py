@@ -14,7 +14,6 @@ from .graphs import (
     _adj_masks,
     all_pairs,
     induced_color_graph,
-    pair_key,
     read_records,
 )
 
@@ -74,24 +73,14 @@ def sierpinski_coloring(family: BitstringFamily) -> EdgeColoring:
 def forest_partition_coloring(n: int) -> EdgeColoring:
     """Partition the edges of K_n (n even) into n/2 spanning paths.
 
-    Class i is the zig-zag path i, i+1, i-1, i+2, i-2, ... (mod n); the
-    n/2 translates partition the edge set, so every color class is a
-    tree on n vertices.
+    Class i is the zig-zag path i, i+1, i-1, i+2, i-2, ... (mod n), whose
+    consecutive pairs sum to 2i+1 and 2i (mod n) in turn; so the pair
+    {a, b} gets color ((a + b) mod n) // 2, the n/2 translates partition
+    the edge set, and every color class is a tree on n vertices.
     """
     if n < 2 or n % 2 != 0:
         raise ValueError("use n even at desk scale")
-    mapping = {}
-    for i in range(n // 2):
-        seq = [i]
-        for t in range(1, n):
-            step = (t + 1) // 2 if t % 2 else -(t // 2)
-            seq.append((i + step) % n)
-        for a, b in zip(seq, seq[1:]):
-            key = pair_key(a, b)
-            if key in mapping:
-                raise AssertionError(f"edge {key} covered twice")
-            mapping[key] = i
-    return EdgeColoring.from_map(n, n // 2, mapping)
+    return EdgeColoring(n, n // 2, tuple((a + b) % n // 2 for a, b in all_pairs(n)))
 
 
 def blowup_coloring(base: EdgeColoring, block_sizes, inner_color: int) -> EdgeColoring:

@@ -77,12 +77,11 @@ def pair_index(n: int, u: int, v: int) -> int:
     return u * (n - 1) - u * (u - 1) // 2 + (v - u - 1)
 
 
-def subset_edge_indices(n: int, subset) -> tuple:
-    """Positions, in lexicographic pair order on n vertices, of the pairs of
-    a sorted vertex subset, listed in lexicographic order of those pairs:
-    entry i is bit i of the subset's edge mask (the connectivity-table
-    layout)."""
-    return tuple(pair_index(n, u, v) for u, v in itertools.combinations(subset, 2))
+def pair_rows(n: int) -> list[int]:
+    """Row offsets of lexicographic pair order: the pair (u, v), u < v, sits
+    at row[u] + v.  The one reader of a sorted subset's pairs, whose i-th
+    pair is bit i of its edge mask (the connectivity-table layout)."""
+    return [pair_index(n, u, u + 1) - u - 1 for u in range(n - 1)]
 
 
 def star_masks(n: int) -> list[int]:
@@ -522,8 +521,8 @@ def induced_color_graph(c: EdgeColoring, xi: int, vertices) -> InducedSubgraph:
         raise ValueError(f"vertex set {labels} out of range for n={c.n}")
     if not 0 <= xi < c.k:
         raise ValueError(f"color {xi} out of range for k={c.k}")
-    edges = subset_edge_indices(c.n, labels)
-    mask = sum(1 << i for i, e in enumerate(edges) if c.colors[e] == xi)
+    row, pairs = pair_rows(c.n), itertools.combinations(labels, 2)
+    mask = sum(1 << i for i, (u, v) in enumerate(pairs) if c.colors[row[u] + v] == xi)
     return InducedSubgraph(Graph.from_mask(len(labels), mask), labels)
 
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__ as _version
-from .graphs import EdgeColoring, InputFormatError, subset_edge_indices
+from .graphs import EdgeColoring, InputFormatError, pair_rows
 from .search import (
     AVOIDING,
     ForbiddenList,
@@ -52,9 +52,11 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     """One-hot edge-color variables; per edge an at-least-one clause plus
     pairwise at-most-one clauses; per size-m subset, color, and labeled
     edge-minimal kappa-connected graph on it, a clause forbidding the
-    monochromatic copy.  Duplicate clauses are removed and the final order
-    is sorted, so identical parameters give byte-identical DIMACS output.
-    A negative n raises ValueError."""
+    monochromatic copy.  Literal (edge e, color i) is e*k + i + 1; every
+    clause is built sorted (a forbidden clause's pair_rows edges ascend, so
+    its literals are reversed) and the list is sorted once, so identical
+    parameters give byte-identical DIMACS output.  No clause repeats: a
+    forbidden graph spans its m vertices.  A negative n raises ValueError."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if m < 2 or kappa < 1 or k < 1:
@@ -72,19 +74,18 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
         raise ValueError(f"size limit: about {estimate} candidate clauses")
 
     nedges = n * (n - 1) // 2
-    inst = CnfInstance(n, m, kappa, k, nedges * k, (), forbidden_list_hash(fl))
-    clauses = set()
-    for e in range(nedges):
-        clauses.add(tuple(inst.var(e, i) for i in range(k)))
-        for i, j in itertools.combinations(range(k), 2):
-            clauses.add(tuple(sorted((-inst.var(e, i), -inst.var(e, j)))))
+    clauses = []
+    for base in range(1, nedges * k + 1, k):
+        clauses.append(tuple(range(base, base + k)))
+        clauses.extend((-base - j, -base - i) for i, j in itertools.combinations(range(k), 2))
+    row = pair_rows(n)
     for subset in itertools.combinations(range(n), m):
-        idxs = subset_edge_indices(n, subset)
+        bases = [(row[u] + v) * k + 1 for u, v in itertools.combinations(subset, 2)]
         for fm in fl.masks:
-            edges = [e for bit, e in enumerate(idxs) if fm >> bit & 1]
-            for i in range(k):
-                clauses.add(tuple(sorted(-inst.var(e, i) for e in edges)))
-    return replace(inst, clauses=tuple(sorted(clauses)))
+            lits = [-b for bit, b in enumerate(bases) if fm >> bit & 1][::-1]
+            clauses.extend(tuple(lit - i for lit in lits) for i in range(k))
+    clauses.sort()
+    return CnfInstance(n, m, kappa, k, nedges * k, tuple(clauses), forbidden_list_hash(fl))
 
 
 def to_dimacs(inst: CnfInstance) -> str:
@@ -229,15 +230,10 @@ def coloring_to_literals(inst: CnfInstance, c: EdgeColoring) -> list[int]:
 
 
 def violated_clause(inst: CnfInstance, c: EdgeColoring):
-    """First clause the one-hot assignment of a coloring falsifies, or None."""
-
-    def lit_true(lit):
-        var = abs(lit) - 1
-        e, i = divmod(var, inst.k)
-        value = c.colors[e] == i
-        return value if lit > 0 else not value
-
-    return next((cl for cl in inst.clauses if not any(lit_true(l) for l in cl)), None)
+    """First clause the one-hot assignment of a coloring falsifies, or None:
+    the first clause that shares no literal with coloring_to_literals."""
+    true = set(coloring_to_literals(inst, c))
+    return next((cl for cl in inst.clauses if true.isdisjoint(cl)), None)
 
 
 def cnf_satisfiable_by_enumeration(inst: CnfInstance):

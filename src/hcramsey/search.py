@@ -15,7 +15,7 @@ from .graphs import (
     all_pairs,
     connectivity_table,
     is_kappa_connected_mask,
-    pair_index,
+    pair_rows,
     star_masks,
 )
 
@@ -129,14 +129,14 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
 
     "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  Each
     subset's colors are read once, into one edge mask per color; the pair
-    (u, v) of K_n sits at row[u] + v in c.colors.  A kappa-connected graph
-    on s vertices is complete (degree s-1) or has minimum degree >= kappa,
-    so a color class with a vertex of degree below need = min(kappa, s-1)
-    is rejected without a connectivity decision; on at most kappa+1
-    vertices the bound is exact (only complete classes pass).  Minimum
-    degree need implies at least ceil(need * s / 2) edges, so a class with
-    fewer is rejected first, by one bit count: exactly the same classes
-    pass.  A negative kappa raises ValueError.
+    (u, v) of K_n sits at row[u] + v in c.colors, row = pair_rows(n).  A
+    kappa-connected graph on s vertices is complete (degree s-1) or has
+    minimum degree >= kappa, so a color class with a vertex of degree below
+    need = min(kappa, s-1) is rejected without a connectivity decision; on
+    at most kappa+1 vertices the bound is exact (only complete classes
+    pass).  Minimum degree need implies at least ceil(need * s / 2) edges,
+    so a class with fewer is rejected first, by one bit count: exactly the
+    same classes pass.  A negative kappa raises ValueError.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -147,7 +147,7 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     n, colors = c.n, c.colors
     if m > n:
         return None
-    row = [pair_index(n, u, u + 1) - u - 1 for u in range(n - 1)]
+    row = pair_rows(n)
     sizes = [m] if mode == "exact" else range(m, n + 1)
     for size in sizes:
         need = min(kappa, size - 1)

@@ -458,3 +458,103 @@ def test_missing_file_exit_code(tmp_path, capsys):
     code, _ = run(tmp_path, "connectivity", str(tmp_path / "nope.txt"))
     capsys.readouterr()
     assert code == 2
+
+
+def _octahedron_file(tmp_path):
+    # K_6 minus the perfect matching {01, 23, 45}: 4-connected, not complete.
+    graph_file = tmp_path / "octahedron.txt"
+    matching = {(0, 1), (2, 3), (4, 5)}
+    edges = [p for p in Graph.complete(6).edges if p not in matching]
+    graph_file.write_text(format_graph_text(Graph.from_edges(6, edges)))
+    return graph_file
+
+
+def test_connectivity_without_kappa_prints_the_connectivity(tmp_path, capsys):
+    code, store = run(tmp_path, "connectivity", str(_octahedron_file(tmp_path)))
+    assert code == 0
+    assert capsys.readouterr().out == "connected: True\nvertex_connectivity: 4\n"
+    (manifest,) = manifests(store)
+    assert manifest["outcome"] == {"connected": True, "vertex_connectivity": 4}
+
+
+def test_connectivity_with_kappa_prints_the_paths(tmp_path, capsys):
+    code, store = run(tmp_path, "connectivity", str(_octahedron_file(tmp_path)),
+                      "--kappa", "2")
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "true", "pair: (0, 1)",
+        "path: 0 2 1", "path: 0 3 1", "path: 0 4 1", "path: 0 5 1",
+    ]
+    (manifest,) = manifests(store)
+    assert manifest["outcome"] == {
+        "kappa": 2, "answer": True, "separator": [],
+        "paths": [[0, 2, 1], [0, 3, 1], [0, 4, 1], [0, 5, 1]],
+    }
+
+
+def test_arrow_prints_the_witness(tmp_path, capsys):
+    run(tmp_path, "coloring", "forest", "--n", "6", "--out", str(tmp_path / "f.txt"))
+    code, store = run(tmp_path, "arrow", str(tmp_path / "f.txt"), "--kappa", "1", "--m", "3")
+    assert code == 0
+    assert capsys.readouterr().out == "color 1 on vertices [0, 1, 2]\n"
+    assert manifests(store)[-1]["outcome"] == {
+        "witness": {"color": 1, "vertices": [0, 1, 2]},
+        "kappa": 1, "m": 3, "mode": "exact",
+    }
+
+
+def test_coloring_without_out_writes_to_stdout(tmp_path, capsys):
+    code, store = run(tmp_path, "coloring", "forest", "--n", "4")
+    assert code == 0
+    assert capsys.readouterr().out == "4 2\n0 1 0\n0 2 1\n0 3 1\n1 2 1\n1 3 0\n2 3 0\n"
+    (manifest,) = manifests(store)
+    assert manifest["outcome"] == {"kind": "forest", "n": 4, "k": 2,
+                                   "colors": [0, 1, 1, 1, 0, 0]}
+
+
+def test_coloring_sierpinski_from_a_family_file(tmp_path, capsys):
+    family = tmp_path / "fam.txt"
+    family.write_text("2 3\n01\n10\n11\n")
+    code, store = run(tmp_path, "coloring", "sierpinski", "--family", str(family))
+    assert code == 0
+    assert capsys.readouterr().out == "3 4\n0 1 0\n0 2 0\n1 2 2\n"
+    (manifest,) = manifests(store)
+    assert manifest["outcome"] == {"kind": "sierpinski", "n": 3, "k": 4, "colors": [0, 0, 2]}
+    assert manifest["params"]["family"] == str(family)
+
+
+def test_delta_mine_prints_none_when_no_system_exists(tmp_path, capsys):
+    family = tmp_path / "fam.txt"
+    family.write_text("4\n0 1 1\n0 2 1\n0 3\n1 2\n1 3\n2 3\n")
+    code, store = run(tmp_path, "delta-mine", str(family), "--size", "4")
+    assert code == 0
+    assert capsys.readouterr().out == "none\n"
+    (manifest,) = manifests(store)
+    assert manifest["outcome"] == {"B": None}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sierpinski"], "sierpinski needs --family or --length"),
+    (["forest"], "forest needs --n"),
+    (["blowup"], "blowup needs --base and --blocks"),
+    (["blowup", "--base", "b.txt"], "blowup needs --base and --blocks"),
+    (["blowup", "--blocks", "1,1"], "blowup needs --base and --blocks"),
+    (["random", "--n", "3"], "random needs --n and --colors"),
+    (["random", "--colors", "2"], "random needs --n and --colors"),
+])
+def test_coloring_refuses_a_missing_argument(tmp_path, capsys, args, message):
+    code, store = run(tmp_path, "coloring", *args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+    assert not store.exists()
+
+
+def test_coloring_blowup_refuses_non_integer_blocks(tmp_path, capsys):
+    base = tmp_path / "base.txt"
+    base.write_text("2 1\n0 1 0\n")
+    code, store = run(tmp_path, "coloring", "blowup", "--base", str(base), "--blocks", "1,x")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: --blocks must be comma-separated integers\n"
+    assert not store.exists()

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 
 from hcramsey.colorings import (
     BitstringFamily,
+    _indexed_delta_root,
+    _line_roots,
     blowup_coloring,
     common_neighbor_certify,
     first_difference,
@@ -57,6 +59,11 @@ class TestSierpinskiColoring:
     def test_duplicate_strings_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             BitstringFamily(2, ("00", "00"))
+
+    @pytest.mark.parametrize("bad", ["1", "12"])
+    def test_bad_string_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"bad bitstring '{bad}' for length 2"):
+            BitstringFamily(2, ("01", bad))
 
     def test_full_of_length_zero_is_the_empty_string(self):
         # format(0, "00b") is "0", so full(0) used to raise.
@@ -120,6 +127,18 @@ class TestForestPartition:
             total += len(cls.edges)
         assert total == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("n", range(2, 41, 2))
+    def test_class_i_is_the_zig_zag_path_from_i(self, n):
+        # Path i walks i, i+1, i-1, i+2, i-2, ... (mod n).
+        c = forest_partition_coloring(n)
+        for i in range(n // 2):
+            walk, step = [i], 1
+            while len(walk) < n:
+                walk.append((i + step) % n)
+                step = -step if step > 0 else 1 - step
+            assert sorted(walk) == list(range(n))
+            assert {c.color_of(a, b) for a, b in zip(walk, walk[1:])} == {i}
+
     def test_odd_rejected(self):
         with pytest.raises(ValueError, match="even"):
             forest_partition_coloring(5)
@@ -130,6 +149,15 @@ class TestForestPartition:
 
 
 class TestBlowup:
+    @pytest.mark.parametrize("blocks, inner, message", [
+        ((1, 1, 1), 0, "need one block size per base vertex"),
+        ((1, 0), 0, "block sizes must be positive"),
+        ((1, 1), 2, "inner color 2 out of range for k=2"),
+    ])
+    def test_refusals(self, blocks, inner, message):
+        with pytest.raises(ValueError, match=message):
+            blowup_coloring(EdgeColoring(2, 2, (1,)), blocks, inner)
+
     def test_single_edge_base(self):
         base = EdgeColoring(2, 7, (5,))
         c = blowup_coloring(base, (2, 2), 0)
@@ -309,6 +337,38 @@ class TestDeltaMiner:
         # and both off-diagonal residues contain the middle index.
         family = {(a, b): {a, b} for a, b in all_pairs(4)}
         assert mine_delta_system(family, 4, 3) is None
+
+    @staticmethod
+    def _lines(n, sets):
+        fam = {p: frozenset(sets.get(p, ())) for p in all_pairs(n)}
+        rows = [(a, [fam[(a, b)] for b in range(a + 1, n)]) for a in range(n)]
+        cols = [(b, [fam[(a, b)] for a in range(b)]) for b in range(n)]
+        return fam, rows, cols
+
+    @pytest.mark.parametrize("rule, sets", [
+        ("row", {(0, 2): {1}, (0, 3): {1}, (1, 2): {1}}),  # row 0: {}, {1}, {1}
+        ("column", {(0, 3): {1}, (1, 2): {1}, (1, 3): {1}}),  # column 3: {1}, {1}, {}
+        ("union", {(0, 2): {0}, (1, 2): {0}, (1, 3): {0}}),  # unions {}, {0}, {0}, {}
+    ])
+    def test_each_rule_rejects_its_family(self, rule, sets):
+        # On B = range(4) each family passes every earlier rule.
+        fam, rows, cols = self._lines(4, sets)
+        assert (_line_roots(rows) is None) == (rule == "row")
+        if rule != "row":
+            assert (_line_roots(cols) is None) == (rule == "column")
+        assert mine_delta_system(fam, 4, 4) is None
+
+    def test_determined_row_roots_must_form_a_sunflower(self):
+        # Rows 0, 1, 2 are sunflowers with roots {9}, {9}, {}, and {9} & {9}
+        # differs from {9} & {}; three rows of 2 or more sets need n >= 5.
+        fam, rows, _ = self._lines(5, {p: {9} for p in all_pairs(5) if p[0] < 2})
+        assert [_indexed_delta_root(sets) for _, sets in rows[:3]] == [{9}, {9}, set()]
+        assert _line_roots(rows) is None
+        assert mine_delta_system(fam, 5, 5) is None
+
+    def test_target_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="target size must be positive"):
+            mine_delta_system({}, 3, 0)
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="miner size limit"):

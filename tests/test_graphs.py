@@ -23,6 +23,8 @@ from hcramsey.graphs import (
     is_highly_connected,
     is_kappa_connected,
     _connectivity_certificate,
+    pair_index,
+    pair_rows,
     parse_graph_text,
     star_masks,
     vertex_connectivity,
@@ -64,6 +66,36 @@ class TestEdgeMask:
             Graph.from_mask(3, 1 << 3)
         with pytest.raises(ValueError, match="bad edge mask"):
             Graph.from_mask(3, -1)
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_pair_rows_read_the_pair_index(n):
+    row = pair_rows(n)
+    assert len(row) == max(n - 1, 0)
+    for u, v in all_pairs(n):
+        assert row[u] + v == pair_index(n, u, v)
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "negative vertex count"),
+    (3, [(0, 3)], re.escape("bad pair (0, 3) for n=3")),
+    (3, [(2, 1)], re.escape("bad pair (2, 1) for n=3")),
+])
+def test_graph_refusals(n, edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph(n, frozenset(edges))
+
+
+def test_cycle_needs_three_vertices():
+    with pytest.raises(ValueError, match="cycle needs at least 3 vertices"):
+        Graph.cycle(2)
+
+
+def test_edge_coloring_refuses_a_wrong_color_count_or_a_color_beyond_k():
+    with pytest.raises(ValueError, match="expected 3 colors for n=3, got 2"):
+        EdgeColoring(3, 2, (0, 1))
+    with pytest.raises(ValueError, match="color 2 out of range for k=2"):
+        EdgeColoring(3, 2, (0, 2, 1))
 
 
 def test_edge_coloring_refuses_a_negative_vertex_count():
@@ -185,6 +217,20 @@ class TestInducedColorGraph:
         sub = induced_color_graph(c, 0, {4, 1, 3})
         assert sub.labels == (1, 3, 4)
         assert sub.graph == Graph.complete(3)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_subset_matches_color_of(self, n):
+        rng = random.Random(n)
+        c = EdgeColoring(n, 3, tuple(rng.randrange(3) for _ in all_pairs(n)))
+        for size in range(n + 1):
+            for labels in itertools.combinations(range(n), size):
+                for xi in range(3):
+                    sub = induced_color_graph(c, xi, labels)
+                    assert sub.labels == labels
+                    assert sub.graph.edges == {
+                        (i, j) for i, j in all_pairs(size)
+                        if c.color_of(labels[i], labels[j]) == xi
+                    }
 
     def test_out_of_range(self):
         c = EdgeColoring.constant(3, 1, 0)

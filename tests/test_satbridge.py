@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
+from hcramsey.colorings import random_coloring
 from hcramsey.graphs import EdgeColoring, InputFormatError, connectivity_table
 from hcramsey.satbridge import (
     NoModel,
@@ -41,6 +43,14 @@ class TestEmitCnf:
         # 2^21 colorings of K_7 exceed the enumeration limit.
         assert cnf_satisfiable_by_enumeration(emit_cnf(7, 3, 1, 2)) is None
 
+    def test_no_clause_repeats_and_every_clause_is_sorted(self):
+        for n, m, k in itertools.product(range(8), range(2, 6), range(1, 4)):
+            for kappa in range(1, m + 1):
+                clauses = emit_cnf(n, m, kappa, k).clauses
+                assert len(set(clauses)) == len(clauses), (n, m, kappa, k)
+                assert list(clauses) == sorted(clauses)
+                assert all(list(cl) == sorted(cl) for cl in clauses)
+
     def test_byte_identical_output(self):
         assert to_dimacs(emit_cnf(5, 3, 2, 2)) == to_dimacs(emit_cnf(5, 3, 2, 2))
 
@@ -78,6 +88,39 @@ class TestEmitCnf:
         assert hashlib.sha256(text.encode()).hexdigest()[:12] == digest
 
 
+def _first_false_clause(inst, c):
+    """violated_clause read literal by literal: variable e*k + i + 1 is
+    true iff edge e has color i."""
+
+    def lit_true(lit):
+        e, i = divmod(abs(lit) - 1, inst.k)
+        return (c.colors[e] == i) == (lit > 0)
+
+    return next((cl for cl in inst.clauses if not any(map(lit_true, cl))), None)
+
+
+class TestViolatedClause:
+    def test_agrees_with_a_literal_evaluator(self):
+        rng = random.Random(1814)
+        outcomes = []
+        for n, m, kappa, k in itertools.product(range(2, 7), (2, 3, 4), (1, 2, 3), (1, 2, 3)):
+            if kappa > m:
+                continue
+            inst = emit_cnf(n, m, kappa, k)
+            for _ in range(3):
+                c = random_coloring(n, k, rng.randrange(1 << 30))
+                expected = _first_false_clause(inst, c)
+                assert violated_clause(inst, c) == expected
+                outcomes.append(expected is None)
+        assert 0 < outcomes.count(True) < len(outcomes)  # both kinds occur
+
+    def test_a_monochromatic_triangle_violates_its_clause(self):
+        inst = emit_cnf(3, 3, 2, 2)
+        # Literal (edge e, color i) is 2e + i + 1.
+        assert violated_clause(inst, EdgeColoring(3, 2, (0, 0, 0))) == (-5, -3, -1)
+        assert violated_clause(inst, EdgeColoring(3, 2, (0, 1, 0))) is None
+
+
 class TestDecodeModel:
     def test_round_trip_from_search(self):
         inst = emit_cnf(5, 3, 3, 2)
@@ -102,6 +145,11 @@ class TestDecodeModel:
         ]
         with pytest.raises(ValueError, match="malformed model"):
             decode_model(inst, lits)
+
+    def test_literal_beyond_the_variables_rejected(self):
+        inst = emit_cnf(3, 3, 1, 2)
+        with pytest.raises(ValueError, match="literal -7 references no variable"):
+            decode_model(inst, [1, -2, 3, -4, 5, -6, -7])
 
     def test_partial_assignment_rejected(self):
         inst = emit_cnf(3, 3, 1, 2)
@@ -129,6 +177,9 @@ class TestModelText:
     def test_comment_lines_are_skipped(self):
         text = "c solver banner\ns SATISFIABLE\nv 1 -2 0\n"
         assert parse_model_text(text) == [1, -2]
+
+    def test_model_without_terminating_zero(self):
+        assert parse_model_text("v 1 -2\n") == [1, -2]
 
     def test_minisat_result_file(self):
         assert parse_model_text("SAT\n1 -2 3 0\n") == [1, -2, 3]
@@ -201,6 +252,17 @@ class TestParseDimacs:
         with pytest.raises(InputFormatError, match=f"provenance {key}=-"):
             parse_dimacs(text)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("p cnf 3 6\n", "p cnf 3 6\np cnf 3 6\n"), "line 4: second 'p' line"),
+        (lambda t: t.replace(" k=1 ", " k=one "), "malformed provenance comment"),
+        (lambda t: t.replace("p cnf 3 6", "p cnf 3 six"), "'p cnf' counts must be integers"),
+    ])
+    def test_refusal_names_the_fault(self, edit, message):
+        text = to_dimacs(emit_cnf(3, 3, 1, 1))
+        assert edit(text) != text
+        with pytest.raises(InputFormatError, match=message):
+            parse_dimacs(edit(text))
+
     def test_bad_literal_names_its_line(self):
         text = to_dimacs(emit_cnf(3, 3, 1, 1)).replace("\n1 0\n", "\n\n\n1 x 0\n")
         line = text.splitlines().index("1 x 0") + 1
@@ -216,6 +278,15 @@ class TestVerifyEquivalence:
     def test_small_grid(self):
         grid = [(4, 3, kappa, k) for kappa in (1, 2, 3) for k in (1, 2)]
         assert all(r["match"] for r in verify_cnf_equivalence(grid))
+
+    def test_clause_check_past_the_enumeration_limit(self):
+        # 2^21 colorings of K_7: enumeration declines, so the native
+        # search's avoiding coloring is checked against the clauses.
+        (report,) = verify_cnf_equivalence([(7, 4, 3, 2)])
+        assert report == {
+            "params": {"n": 7, "m": 4, "kappa": 3, "k": 2},
+            "native_avoiding": True, "cnf_satisfiable": True, "match": True,
+        }
 
     def test_satisfiable_point(self):
         (report,) = verify_cnf_equivalence([(5, 3, 3, 2)])

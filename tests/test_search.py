@@ -132,6 +132,10 @@ class TestArrowCheck:
         assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4) is None
         assert arrow_check(EdgeColoring.constant(3, 1, 0), 1, 4, "atLeast") is None
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="unknown mode 'atMost'"):
+            arrow_check(EdgeColoring.constant(3, 1, 0), 1, 3, "atMost")
+
     def test_negative_kappa_is_refused(self):
         # Refused even where no m-set exists, before any subset is read.
         for m in (3, 4):
