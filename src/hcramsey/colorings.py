@@ -79,7 +79,7 @@ def forest_partition_coloring(n: int) -> EdgeColoring:
     the edge set, and every color class is a tree on n vertices.
     """
     if n < 2 or n % 2 != 0:
-        raise ValueError("use n even at desk scale")
+        raise ValueError(f"need an even n >= 2, got n={n}")
     return EdgeColoring(n, n // 2, tuple((a + b) % n // 2 for a, b in all_pairs(n)))
 
 

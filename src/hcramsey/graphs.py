@@ -294,13 +294,19 @@ def _connectivity_certificate(n: int, mask: int):
     no path ends the scan.
 
     After the first pair, a later pair replaces the best only with a
-    strictly smaller value, so work that cannot show one is skipped.  The
-    common neighbours of s and t give internally disjoint paths of length
-    2, so a pair with at least the best value of them is passed over
-    without a flow, and any other pair's flow stops once it reaches the
-    best value.  A pair of smaller value runs its flow in full, so the
-    pair, paths and separator returned are those of the scan without the
-    skips."""
+    strictly smaller value, so work that cannot show one is skipped:
+      - Even's stop: the scan ends at the first pair (s, t) with s >= b,
+        the best value.  A smaller value has a separator S with |S| < b;
+        one of 0..b-1 lies outside S and is cut by S from some vertex, and
+        that pair, scanned already with a cap of at least b, would have
+        replaced the best.
+      - Length-3 bound: the common neighbours of s and t, plus a greedy
+        matching of edges ab from N(s) - N(t) into N(t) - N(s), give
+        internally disjoint paths s-c-t and s-a-b-t, so a pair with
+        at least b of them is passed over without a flow.
+      - Any other pair's flow stops once it reaches b.
+    A pair of smaller value runs its flow in full, so the pair, paths and
+    separator returned are those of the scan without the skips."""
     pairs = all_pairs(n)
     # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
     arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
@@ -313,9 +319,24 @@ def _connectivity_certificate(n: int, mask: int):
         if mask >> i & 1:
             continue
         cap = None if best is None else best[0]
-        # arcs[2v + 1] is v's neighbour set, as the bits of their vin nodes.
-        if cap is not None and (arcs[2 * s + 1] & arcs[2 * t + 1]).bit_count() >= cap:
-            continue
+        if cap is not None:
+            if s >= cap:
+                break
+            # arcs[2v + 1] is v's neighbour set, as the bits of their vin
+            # nodes, so the vertex whose vin bit is `bit` has neighbours
+            # arcs[bit.bit_length()].
+            ns, nt = arcs[2 * s + 1], arcs[2 * t + 1]
+            found = (ns & nt).bit_count()
+            left, right = ns & ~nt, nt & ~ns
+            while left and found < cap:
+                bit = left & -left
+                left ^= bit
+                ends = arcs[bit.bit_length()] & right
+                if ends:
+                    right ^= ends & -ends
+                    found += 1
+            if found >= cap:
+                continue
         value, paths, separator = _max_disjoint_paths(arcs, s, t, cap)
         if value == cap:
             continue

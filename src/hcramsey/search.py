@@ -137,6 +137,15 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     pass).  Minimum degree need implies at least ceil(need * s / 2) edges,
     so a class with fewer is rejected first, by one bit count: exactly the
     same classes pass.  A negative kappa raises ValueError.
+
+    Only live vertices are enumerated: those in the need-core of some
+    color's class in K_n, what is left after repeatedly deleting vertices
+    with fewer than need neighbours of that color.  A witness in color xi
+    on S has minimum degree need inside S, so S lies in xi's need-core.
+    Subsets of the sorted live vertices keep their lexicographic order, so
+    the first witness is unchanged.  need never drops as the size grows,
+    so the live set never grows, and the sweep stops at the first size
+    above it.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -148,12 +157,22 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     if m > n:
         return None
     row = pair_rows(n)
+    # nbrs[xi][v]: the vertices joined to v in color xi, as a bitmask.
+    nbrs = [[0] * n for _ in range(c.k)]
+    for (u, v), xi in zip(itertools.combinations(range(n), 2), colors):
+        nbrs[xi][u] |= 1 << v
+        nbrs[xi][v] |= 1 << u
     sizes = [m] if mode == "exact" else range(m, n + 1)
+    live_need = None
     for size in sizes:
         need = min(kappa, size - 1)
+        if need != live_need:
+            live_need, live = need, _live_vertices(nbrs, n, need)
+        if size > len(live):
+            break
         least = (need * size + 1) // 2
         stars = star_masks(size)
-        for subset in itertools.combinations(range(n), size):
+        for subset in itertools.combinations(live, size):
             masks = [0] * c.k
             for i, (u, v) in enumerate(itertools.combinations(subset, 2)):
                 masks[colors[row[u] + v]] |= 1 << i
@@ -166,6 +185,29 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
                 if ok:
                     return ArrowWitness(xi, subset, verdict)
     return None
+
+
+def _live_vertices(nbrs, n, need):
+    """The vertices, ascending, in the need-core of some color's class,
+    where nbrs[xi][v] is v's neighbour mask in color xi: each core is
+    peeled with a worklist of the vertices whose degree fell below need."""
+    live = 0
+    for adj in nbrs:
+        deg = [a.bit_count() for a in adj]
+        low = [v for v in range(n) if deg[v] < need]
+        core = (1 << n) - 1 - sum(1 << v for v in low)
+        while low:
+            rest = adj[low.pop()] & core
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                u = bit.bit_length() - 1
+                deg[u] -= 1
+                if deg[u] < need:
+                    core ^= bit
+                    low.append(u)
+        live |= core
+    return [v for v in range(n) if live >> v & 1]
 
 
 # ---------------------------------------------------------------------------

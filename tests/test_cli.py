@@ -550,6 +550,15 @@ def test_coloring_refuses_a_missing_argument(tmp_path, capsys, args, message):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "1", "7"])
+def test_coloring_forest_refuses_n_below_two_or_odd(tmp_path, capsys, n):
+    code, store = run(tmp_path, "coloring", "forest", "--n", n)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: need an even n >= 2, got n={n}\n"
+    assert not store.exists()
+
+
 def test_coloring_blowup_refuses_non_integer_blocks(tmp_path, capsys):
     base = tmp_path / "base.txt"
     base.write_text("2 1\n0 1 0\n")

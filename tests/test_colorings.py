@@ -143,6 +143,12 @@ class TestForestPartition:
         with pytest.raises(ValueError, match="even"):
             forest_partition_coloring(5)
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_refusal_names_the_rule_and_n(self, n):
+        # 0 is even but has no spanning path to partition into.
+        with pytest.raises(ValueError, match=f"^need an even n >= 2, got n={n}$"):
+            forest_partition_coloring(n)
+
     @pytest.mark.parametrize("n", [4, 6])
     def test_no_two_connected_triple(self, n):
         assert arrow_check(forest_partition_coloring(n), 2, 3) is None

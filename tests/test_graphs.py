@@ -351,6 +351,30 @@ class TestCertificates:
         assert separator == frozenset({2, 3, 4, 5})
         assert flow_calls == [(0, 1)]
 
+    def test_length_three_paths_skip_the_flow(self, flow_calls):
+        # The cube Q3 (labels joined when they differ in one bit) has
+        # connectivity 3.  (0, 7) has no common neighbour, but the edges
+        # 1-3, 2-6 and 4-5 give three disjoint paths of length 3, as many
+        # as the best value, so it runs no flow.
+        g = Graph.from_edges(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3)])
+        assert (0, 7) not in g.edges
+        certificate = _connectivity_certificate(g.n, g.mask)
+        assert (0, 7) not in flow_calls
+        assert certificate[:2] == (3, (0, 3))
+        assert certificate == self._uncapped_certificate(g.n, g.mask)
+
+    def test_even_stop_ends_the_scan_at_the_best_value(self, flow_calls):
+        # The path 0-1-...-7 has connectivity 1, found at (0, 2).  A
+        # smaller value would show up at a pair (0, t), so no pair (s, t)
+        # with s >= 1 runs a flow; (1, 4), (1, 5), ... each ran one before
+        # the stop.  (0, 3) has the length-3 path 0-1-2-3.
+        g = Graph.path(8)
+        certificate = _connectivity_certificate(g.n, g.mask)
+        assert [s for s, _ in flow_calls] == [0] * 5
+        assert flow_calls == [(0, 2), (0, 4), (0, 5), (0, 6), (0, 7)]
+        assert certificate[:2] == (1, (0, 2))
+        assert certificate == self._uncapped_certificate(g.n, g.mask)
+
     @staticmethod
     def _uncapped_certificate(n, mask):
         """The full flow of each nonadjacent pair in lexicographic order,
@@ -380,6 +404,17 @@ class TestCertificates:
                 cases.append((g.n, g.mask))
         for n, mask in cases:
             assert _connectivity_certificate(n, mask) == self._uncapped_certificate(n, mask), (n, mask)
+
+    def test_scan_rules_keep_the_uncapped_certificate_on_11_and_12_vertices(self):
+        # Larger graphs than the test above, where Even's stop and the
+        # length-3 bound pass over most pairs.
+        rng = random.Random(2021)
+        for _ in range(200):
+            g = random_graph(rng.randrange(11, 13), rng, p=rng.choice([0.4, 0.6, 0.8, 0.9]))
+            if not g.is_complete():
+                assert _connectivity_certificate(g.n, g.mask) == self._uncapped_certificate(
+                    g.n, g.mask
+                ), (g.n, g.mask)
 
 
 @given(graph_strategy(max_n=7))

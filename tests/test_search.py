@@ -10,7 +10,12 @@ import tracemalloc
 import pytest
 
 import hcramsey.search as search_module
-from hcramsey.colorings import BitstringFamily, random_coloring, sierpinski_coloring
+from hcramsey.colorings import (
+    BitstringFamily,
+    forest_partition_coloring,
+    random_coloring,
+    sierpinski_coloring,
+)
 from hcramsey.graphs import (
     EdgeColoring,
     Graph,
@@ -113,8 +118,6 @@ class TestArrowCheck:
         assert w.color == 0 and w.vertices == (0, 1, 2, 3, 4, 5)
 
     def test_forest_partition_has_no_witness(self):
-        from hcramsey.colorings import forest_partition_coloring
-
         assert arrow_check(forest_partition_coloring(6), 2, 3) is None
 
     def test_two_pentagons_triangle_free(self):
@@ -232,6 +235,85 @@ def test_arrow_check_with_many_colors_matches_brute_first_witness():
         assert found == _brute_first_witness(c, kappa, m, mode), (c, kappa, m, mode)
         missing += w is None
     assert missing
+
+
+def _assert_matches_brute(c, kappa, m):
+    """arrow_check agrees with _brute_first_witness in both modes; returns
+    the exact-mode witness."""
+    found = {}
+    for mode in ("exact", "atLeast"):
+        w = arrow_check(c, kappa, m, mode)
+        found[mode] = w
+        got = None if w is None else (w.color, w.vertices)
+        assert got == _brute_first_witness(c, kappa, m, mode), (c, kappa, m, mode)
+    return found["exact"]
+
+
+class TestArrowCheckLiveSet:
+    """arrow_check enumerates only vertices in some color's degree core;
+    each case is one where that live set is empty, full or in between."""
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_forest_colorings_have_an_empty_live_set(self, n, monkeypatch):
+        # Every color class is a tree, whose 2-core is empty.
+        c = forest_partition_coloring(n)
+        calls = []
+        monkeypatch.setattr(search_module, "star_masks", lambda size: calls.append(size))
+        for mode in ("exact", "atLeast"):
+            assert arrow_check(c, 2, 3, mode) is None
+        assert calls == []
+        monkeypatch.undo()
+        _assert_matches_brute(c, 2, 3)
+
+    def test_kappa_zero_keeps_every_vertex_and_empty_classes(self):
+        # Color 1 is never used, yet its empty class on one vertex, or on
+        # a pair that color 0 joins, is 0-connected.
+        c = EdgeColoring.constant(5, 2, 0)
+        for m in (1, 2, 3):
+            w = _assert_matches_brute(c, 0, m)
+            assert (w.color, w.vertices) == (0, tuple(range(m)))
+        c = EdgeColoring.constant(4, 2, 1)
+        assert _assert_matches_brute(c, 0, 2).color == 0
+        for seed in range(10):
+            c = random_coloring(6, 3, seed)
+            for m in (1, 2, 4, 6):
+                assert _assert_matches_brute(c, 0, m) is not None
+
+    def test_complete_witness_classes(self):
+        # kappa >= m - 1 asks for need = m - 1: a monochromatic K_m.
+        found = 0
+        for seed in range(8):
+            c = random_coloring(8, 2, seed)
+            for kappa, m in ((2, 3), (3, 4), (7, 4)):
+                w = _assert_matches_brute(c, kappa, m)
+                if w is not None:
+                    sub = induced_color_graph(c, w.color, w.vertices).graph
+                    assert sub.is_complete()
+                    found += len(w.vertices) == 4
+        assert found
+
+    def test_random_two_and_three_colorings(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n, k = rng.randrange(3, 10), rng.choice([2, 3])
+            c = random_coloring(n, k, rng.randrange(1 << 30))
+            _assert_matches_brute(c, rng.randrange(1, 4), rng.randrange(2, min(n, 5) + 1))
+
+    def test_forest_on_200_vertices_decides_nothing(self, monkeypatch):
+        # Each stand-in counts its call and raises, so that a sweep over
+        # the subsets of K_200 fails at once instead of running on.
+        calls = []
+
+        def counted(name):
+            def stand_in(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} called")
+            return stand_in
+
+        for name in ("star_masks", "is_kappa_connected_mask"):
+            monkeypatch.setattr(search_module, name, counted(name))
+        assert arrow_check(forest_partition_coloring(200), 2, 3, "atLeast") is None
+        assert calls == []
 
 
 def test_arrow_check_witness_digest_is_stable():
