@@ -175,11 +175,6 @@ class EdgeColoring:
                 raise ValueError(f"color {c} out of range for k={self.k}")
 
     @classmethod
-    def from_map(cls, n, k, mapping) -> "EdgeColoring":
-        colors = [mapping[p] for p in all_pairs(n)]
-        return cls(n, k, tuple(colors))
-
-    @classmethod
     def constant(cls, n, k, color=0) -> "EdgeColoring":
         return cls(n, k, tuple([color] * (n * (n - 1) // 2)))
 

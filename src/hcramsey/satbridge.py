@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import __version__ as _version
@@ -26,7 +27,7 @@ CLAUSE_LIMIT = 5_000_000
 
 
 def forbidden_list_hash(fl: ForbiddenList) -> str:
-    payload = repr((fl.m, fl.kappa, tuple(sorted(fl.masks)))).encode()
+    payload = repr((fl.m, fl.kappa, fl.masks)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -53,10 +54,15 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     pairwise at-most-one clauses; per size-m subset, color, and labeled
     edge-minimal kappa-connected graph on it, a clause forbidding the
     monochromatic copy.  Literal (edge e, color i) is e*k + i + 1; every
-    clause is built sorted (a forbidden clause's pair_rows edges ascend, so
-    its literals are reversed) and the list is sorted once, so identical
+    clause is built sorted and the list is sorted once, so identical
     parameters give byte-identical DIMACS output.  No clause repeats: a
-    forbidden graph spans its m vertices.  A negative n raises ValueError."""
+    forbidden graph spans its m vertices.  A negative n raises ValueError.
+
+    Each forbidden graph gets one getter (_clause_getter) that picks its
+    edges from a subset's literal list.  Per subset and color the negated
+    literals are listed once, in pair_rows order, so they descend; the
+    getter reads its edges last to first, and each forbidden clause is one
+    getter call that returns it sorted."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if m < 2 or kappa < 1 or k < 1:
@@ -78,23 +84,39 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     for base in range(1, nedges * k + 1, k):
         clauses.append(tuple(range(base, base + k)))
         clauses.extend((-base - j, -base - i) for i, j in itertools.combinations(range(k), 2))
+    getters = [_clause_getter(fm) for fm in fl.masks]
     row = pair_rows(n)
     for subset in itertools.combinations(range(n), m):
-        bases = [(row[u] + v) * k + 1 for u, v in itertools.combinations(subset, 2)]
-        for fm in fl.masks:
-            lits = [-b for bit, b in enumerate(bases) if fm >> bit & 1][::-1]
-            clauses.extend(tuple(lit - i for lit in lits) for i in range(k))
+        negs = [-(row[u] + v) * k - 1 for u, v in itertools.combinations(subset, 2)]
+        for lits in [[lit - i for lit in negs] for i in range(k)]:
+            clauses.extend([get(lits) for get in getters])
     clauses.sort()
     return CnfInstance(n, m, kappa, k, nedges * k, tuple(clauses), forbidden_list_hash(fl))
 
 
+def _clause_getter(fm: int):
+    """A callable taking a subset's literal list (one literal per pair, in
+    pair_rows order) to the tuple of the literals of mask fm's edges, last
+    edge first.  A one-edge mask (m = 2) gets a one-tuple: itemgetter of a
+    single index returns the bare item."""
+    bits = [i for i in range(fm.bit_length()) if fm >> i & 1][::-1]
+    if len(bits) == 1:
+        (bit,) = bits
+        return lambda lits: (lits[bit],)
+    return operator.itemgetter(*bits)
+
+
 def to_dimacs(inst: CnfInstance) -> str:
+    """DIMACS text: two provenance comments, the 'p cnf' line, then one
+    line per clause, its literals and a closing 0, written with one format
+    string per clause length."""
     lines = [
         f"c hcramsey avoidance instance version={_version}",
         f"c n={inst.n} m={inst.m} kappa={inst.kappa} k={inst.k} forbidden={inst.forbidden_hash}",
         f"p cnf {inst.num_vars} {len(inst.clauses)}",
     ]
-    lines.extend(" ".join(str(l) for l in clause) + " 0" for clause in inst.clauses)
+    formats = {size: "%d " * size + "0" for size in set(map(len, inst.clauses))}
+    lines.extend([formats[len(clause)] % clause for clause in inst.clauses])
     return "\n".join(lines) + "\n"
 
 

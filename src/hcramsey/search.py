@@ -98,23 +98,47 @@ class SearchOutcome:
 @lru_cache(maxsize=None)
 def minimal_connected_graphs(m: int, kappa: int) -> ForbiddenList:
     """Edge-minimal kappa-connected graphs on m labeled vertices, from
-    the connectivity table of all 2^C(m,2) labeled graphs."""
-    table = connectivity_table(m)
-    threshold = min(kappa, m)
+    the connectivity table of all 2^C(m,2) labeled graphs, masks ascending.
+
+    The table is monotone: adding an edge never lowers an entry.  So a
+    graph is edge-minimal exactly when it meets the threshold and none of
+    its one-edge deletions does, and every mask is tested at once.  The
+    table, read as 0/1 bytes (entry >= min(kappa, m)), is cut into rows of
+    2^low entries, low = min(10, C(m,2)), each one Python int (byte j of
+    row r is mask r * 2^low + j).  below marks the masks with a deletion
+    that meets the threshold: for a low edge bit i, the row shifted up by
+    2^i bytes, kept where bit i is set by a selector with byte 1 at those
+    offsets; for a high bit of r, row r ^ bit.  The minimal masks are the
+    nonzero bytes of row & ~below, found with bytes.find.
+    """
+    flags = connectivity_table(m).translate(bytes(x >= min(kappa, m) for x in range(256)))
+    low = min(10, m * (m - 1) // 2)
+    width = 1 << low
+    # selectors[i]: byte 1 at the offsets j < width with bit i set.
+    selectors = [
+        int.from_bytes((bytes(1 << i) + b"\x01" * (1 << i)) * (width >> i + 1), "little")
+        for i in range(low)
+    ]
+    rows = [
+        int.from_bytes(flags[start:start + width], "little")
+        for start in range(0, len(flags), width)
+    ]
+    highs = [1 << h for h in range((len(rows) - 1).bit_length())]
     masks = []
-    for mask, value in enumerate(table):
-        if value < threshold:
+    for r, row in enumerate(rows):
+        if not row:
             continue
-        minimal = True
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if table[mask ^ bit] >= threshold:
-                minimal = False
-                break
-        if minimal:
-            masks.append(mask)
+        below = 0
+        for i, selector in enumerate(selectors):
+            below |= row << (8 << i) & selector
+        for bit in highs:
+            if r & bit:
+                below |= rows[r ^ bit]
+        minimal = (row & ~below).to_bytes(width, "little")
+        base, j = r * width, minimal.find(1)
+        while j >= 0:
+            masks.append(base + j)
+            j = minimal.find(1, j + 1)
     return ForbiddenList(m, kappa, tuple(masks))
 
 

@@ -41,12 +41,17 @@ def coloring_strategy(draw, min_n=1, max_n=7, max_k=4):
     return EdgeColoring(n, k, tuple(colors))
 
 
+def coloring_from_map(n, k, mapping) -> EdgeColoring:
+    """The k-coloring of K_n giving each pair (a, b), a < b, mapping[(a, b)]."""
+    return EdgeColoring(n, k, tuple(mapping[p] for p in all_pairs(n)))
+
+
 def monotone_coloring(n, rng: random.Random, max_color=None) -> EdgeColoring:
     """c(a, b) = f(b) for a nondecreasing f; always subadditive."""
     k = max_color if max_color is not None else n
     f = sorted(rng.randrange(k) for _ in range(n))
     mapping = {(a, b): f[b] for a, b in all_pairs(n)}
-    return EdgeColoring.from_map(n, k, mapping)
+    return coloring_from_map(n, k, mapping)
 
 
 def sample_subadditive(n, k, rng: random.Random, max_tries=20000) -> EdgeColoring:
@@ -65,4 +70,4 @@ def two_pentagons_coloring() -> EdgeColoring:
     complement."""
     cycle = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
     mapping = {p: (0 if p in cycle else 1) for p in all_pairs(5)}
-    return EdgeColoring.from_map(5, 2, mapping)
+    return coloring_from_map(5, 2, mapping)

@@ -33,7 +33,12 @@ from hcramsey.colorings import (
 from hcramsey.graphs import EdgeColoring, Graph, InputFormatError, all_pairs, is_forest, is_kappa_connected, induced_color_graph
 from hcramsey.search import arrow_check
 
-from conftest import coloring_strategy, monotone_coloring, sample_subadditive
+from conftest import (
+    coloring_from_map,
+    coloring_strategy,
+    monotone_coloring,
+    sample_subadditive,
+)
 
 PLANTED_BAD = EdgeColoring(3, 2, (1, 0, 0))  # c(0,1)=1 > max(c(0,2), c(1,2))
 
@@ -227,7 +232,7 @@ class TestTreeOrder:
 
     def test_monotone_cut(self):
         f = list(range(5))  # c(a, b) = b
-        c = EdgeColoring.from_map(5, 5, {(a, b): f[b] for a, b in all_pairs(5)})
+        c = coloring_from_map(5, 5, {(a, b): f[b] for a, b in all_pairs(5)})
         to = tree_order(c, 2)
         assert to.valid
         assert to.relation == frozenset((a, b) for a, b in all_pairs(5) if b <= 2)
@@ -275,7 +280,7 @@ class TestCommonNeighborCertify:
         # color 0 realizes C4: adjacent pairs share no common 0-neighbor,
         # so the certificate fails even though C4 is 2-connected
         cycle = {(0, 1), (1, 2), (2, 3), (0, 3)}
-        c = EdgeColoring.from_map(
+        c = coloring_from_map(
             4, 2, {p: (0 if p in cycle else 1) for p in all_pairs(4)}
         )
         assert not common_neighbor_certify(c, range(4), 0, 1)

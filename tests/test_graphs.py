@@ -31,6 +31,7 @@ from hcramsey.graphs import (
 )
 
 from conftest import (
+    coloring_from_map,
     graph_strategy,
     graphs_on,
     mask_strategy,
@@ -208,7 +209,7 @@ class TestInducedColorGraph:
         assert induced_color_graph(c, 1, range(4)).graph.edges == frozenset()
 
     def test_relabeling(self):
-        c = EdgeColoring.from_map(3, 2, {(0, 1): 0, (0, 2): 0, (1, 2): 1})
+        c = coloring_from_map(3, 2, {(0, 1): 0, (0, 2): 0, (1, 2): 1})
         sub = induced_color_graph(c, 0, {0, 1, 2})
         assert sub.graph == Graph.from_edges(3, [(0, 1), (0, 2)])  # path 1-0-2
 

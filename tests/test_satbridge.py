@@ -51,6 +51,14 @@ class TestEmitCnf:
                 assert list(clauses) == sorted(clauses)
                 assert all(list(cl) == sorted(cl) for cl in clauses)
 
+    def test_grid_digest_is_stable(self):
+        # The grid above, in the same order, as one stream of DIMACS text.
+        h = hashlib.sha256()
+        for n, m, k in itertools.product(range(8), range(2, 6), range(1, 4)):
+            for kappa in range(1, m + 1):
+                h.update(to_dimacs(emit_cnf(n, m, kappa, k)).encode())
+        assert h.hexdigest()[:12] == "9450754b6da6"
+
     def test_byte_identical_output(self):
         assert to_dimacs(emit_cnf(5, 3, 2, 2)) == to_dimacs(emit_cnf(5, 3, 2, 2))
 
@@ -81,7 +89,12 @@ class TestEmitCnf:
 
     @pytest.mark.parametrize(
         "params, digest",
-        [((8, 5, 2, 2), "a2d7f7632856"), ((10, 4, 2, 3), "cac8edea13b0")],
+        [
+            ((8, 5, 2, 2), "a2d7f7632856"),
+            ((10, 4, 2, 3), "cac8edea13b0"),
+            ((4, 2, 1, 2), "b608d35adea4"),  # m = 2: each forbidden graph is one edge
+            ((6, 6, 2, 2), "afe2c794ff05"),
+        ],
     )
     def test_dimacs_digest_is_stable(self, params, digest):
         text = to_dimacs(emit_cnf(*params))

@@ -51,6 +51,26 @@ def spans_member(fl, mask):
     return any(fm & mask == fm for fm in fl.masks)
 
 
+def per_mask_minimal(m, kappa):
+    """The edge-minimal masks found one mask at a time: a mask whose table
+    entry meets min(kappa, m) and none of whose one-edge deletions does."""
+    table = connectivity_table(m)
+    threshold = min(kappa, m)
+    masks = []
+    for mask, value in enumerate(table):
+        if value < threshold:
+            continue
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if table[mask ^ bit] >= threshold:
+                break
+        else:
+            masks.append(mask)
+    return masks
+
+
 class TestMinimalConnectedGraphs:
     def test_3_2_is_triangle(self):
         fl = minimal_connected_graphs(3, 2)
@@ -73,7 +93,7 @@ class TestMinimalConnectedGraphs:
             fl = minimal_connected_graphs(m, m)
             assert [Graph.from_mask(m, fm) for fm in fl.masks] == [Graph.complete(m)]
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_spanning_trees_are_cayley_counted(self, m):
         # The edge-minimal connected graphs are the spanning trees:
         # m^(m-2) of them on m labeled vertices (Cayley).
@@ -82,6 +102,20 @@ class TestMinimalConnectedGraphs:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="enumeration size limit"):
             minimal_connected_graphs(8, 2)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_matches_the_per_mask_scan(self, m):
+        for kappa in range(1, m + 2):
+            masks = minimal_connected_graphs(m, kappa).masks
+            assert list(masks) == per_mask_minimal(m, kappa), (m, kappa)
+
+    def test_m7_lists(self):
+        # m <= 6 ascend as the per-mask scan does; m = 7 is too slow for it.
+        for kappa in range(1, 9):
+            masks = minimal_connected_graphs(7, kappa).masks
+            assert all(a < b for a, b in zip(masks, masks[1:])), kappa
+        assert len(minimal_connected_graphs(7, 2).masks) == 3951
+        assert minimal_connected_graphs(7, 7).masks == ((1 << 21) - 1,)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_spanning_iff_connected_exhaustive(self, m):
