@@ -245,16 +245,20 @@ def _indexed_delta_root(sets):
 
 def _line_roots(lines):
     """Root of each (key, sets) line of at least two sets, None for a
-    shorter line; None overall when a line, or the determined roots
-    together, form no sunflower."""
+    shorter line; None overall when a line forms no sunflower.
+
+    The determined roots of B's rows (or columns) need no test of their
+    own: when every row and column is a sunflower, they form one.  An
+    element x of two row roots R_i, R_j (i < j) lies in F(i, b) and
+    F(j, b) for each b > j, so in that column's root and in every F(a, b)
+    with b > j; taking b among the last two members puts x in every
+    determined row root.  Columns likewise, with the first two members.
+    """
     roots = {}
     for key, sets in lines:
         roots[key] = _indexed_delta_root(sets) if len(sets) >= 2 else None
         if len(sets) >= 2 and roots[key] is None:
             return None
-    determined = [r for r in roots.values() if r is not None]
-    if len(determined) >= 2 and _indexed_delta_root(determined) is None:
-        return None
     return roots
 
 

@@ -4,9 +4,12 @@ avoiding colorings, and computing finite connected Ramsey numbers."""
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .graphs import (
     TABLE_VERTEX_LIMIT,
@@ -287,27 +290,56 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     per step of a loop; `prefix` pins the colors of the first positions, a
     seed from which the search extends a coloring fixed in advance.
 
-    Colex order sorts pairs by (max, min), so (u, v) sits at position
-    v(v-1)/2 + u and the m-sets completed by assigning it are exactly {v}
-    with m-1 vertices from {0..u} including u.  The first C(j,2) positions
-    are the edges of K_j and complete exactly K_j's m-sets, so until the
-    loop first reaches position C(j,2) it visits the nodes, in the order,
-    that a search of K_j alone would visit.  For each j from `start`
-    (default n) up to n it therefore reads off K_j's outcome: avoiding when
-    the loop first reaches C(j,2), else exhausted when the loop ends or
-    unknown when the node budget runs out.  Returns one SearchOutcome per j
-    from start, ending at n or at the first j that is not avoiding; each
-    one's stats.wall_time is the time from the call to that j's decision.
+    Colex order sorts pairs by (max, min), so (a, b) sits at position
+    b(b-1)/2 + a and the m-sets completed by assigning it are exactly
+    R + {a, b} for the (m-2)-sets R of {0..a-1}.  The first C(j,2)
+    positions are the edges of K_j and complete exactly K_j's m-sets, so
+    until the loop first reaches position C(j,2) it visits the nodes, in
+    the order, that a search of K_j alone would visit.  For each j from
+    `start` (default n) up to n it therefore reads off K_j's outcome:
+    avoiding when the loop first reaches C(j,2), else exhausted when the
+    loop ends or unknown when the node budget runs out.  Returns one
+    SearchOutcome per j from start, ending at n or at the first j that is
+    not avoiding; each one's stats.wall_time is the time from the call to
+    that j's decision.
 
     The loop has two parts.  Reach, at position 0 and after each color that
-    passes, reads off every K_j now colored (K_0 and K_1 as well), lists
-    the m-sets a position completes the first time it gets there, and sets
-    the position's colors to try.  Try counts one node per color and checks
-    the completed m-sets: a pass goes on to reach the next position, and
-    when the colors run out it backs up a position.  An m-set that prunes a
-    color moves to the front of its position's list, since the next color
-    or the next visit is likely to complete it badly too; the order of the
-    list never changes whether a node passes, only how many sets it reads.
+    passes, reads off every K_j now colored (K_0 and K_1 as well), steps a
+    new position's pair on from the last, builds the position's cells and
+    sets its colors to try.  Try counts one node per color and checks every
+    set the pair completes, in every color, not only the new edge's: a pass
+    goes on to reach the next position, and when the colors run out it
+    backs up a position.
+
+    The cells.  The pair (a, b) is the last of each set it completes in
+    lexicographic order, so it is the top digit of the set's pattern (see
+    pattern_table): the set is bad under col iff bad[col * W + rest], with
+    W = k^(C(m,2)-1) and rest < W the set's other digits.  The position
+    keeps one cell per R, in colex order, holding rest, and a node prunes
+    iff `1 in test(tables[col])`, tables[col] being bad's slice for col:
+    test is the cells' bytes.translate when W <= 256 (tables padded to 256
+    bytes), else an operator.itemgetter of the 2- or 4-byte cell values
+    over a memoryview of bad, which copies no table.  Every node reads all
+    of a position's cells, so no set is listed, and there is no
+    move-to-front step: which set prunes a node never mattered.
+
+    Why the weights split exactly.  In an m-set s_0 < ... < s_{m-1}, the
+    pair (s_i, s_t) is the (i*m - i(i+1)/2 + t - i - 1)-th in lexicographic
+    order, so its weight is k^(t-1) * h(i), h(i) = k^(i*m - i(i+1)/2 - i).
+    So rest is the part inside R + {a} (a has rank m-2) plus k^(m-2) times
+    row b's part, sum_i color(r_i, b) * h(i).  Each part is a vector of
+    cells in one int, `size` bytes a cell, cell R at offset rank(R) * size;
+    a cell holds part of one rest, below W, so it never carries.  rows[pos]
+    holds row b's vectors over the j-subsets of {0..a-1}, j = 0..m-2.  The
+    j-subsets of {0..a} are those of {0..a-1}, then each (j-1)-subset plus
+    a, so the vector at (a+1, b) is the one at (a, b) or-ed with the
+    (j-1)-th plus color(a, b) * h(j-1) in every cell, shifted past C(a, j)
+    cells: one step from the previous position and the color just placed.
+    Vertex x's parts inside R + {x}, x of rank j, are rebuilt when reach
+    gets to (0, x+1), when all of {0..x} is colored: the j-subsets with
+    maximum y < x hold y's (j-1)-th parts, concatenated over y, plus
+    k^(j-1) times row x's vector.  The cells are a's (m-2)-th part plus
+    k^(m-2) * rows[pos][m-2], rebuilt each time reach gets to the position.
 
     Colors start at 0 and go up to one past the colors used before, so each
     new color first appears in order (first use).  With `vertex`, each
@@ -330,16 +362,31 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     j = n if start is None else start
     bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
-    # One entry per position reached.  checks[pos]: the m-sets completed at
-    # pos, each as the colex positions of its pairs from the last
-    # lexicographic pair to the first, the order in which the Horner loop
-    # reads them, less the last pair, which is pos itself: the loop starts
-    # from its color.  colors[pos]: the color last tried at pos, one below the
-    # first before any.  lim[pos]: one past the last color to try.
-    # used[pos]: the colors used before pos.  pairs[pos]: its pair (a, b).
-    # same[pos]: rows b-1 and b agree on the columns before a.  tied[pos]:
-    # rows a-1 and a agree on the columns before b other than a-1 and a.
-    checks, colors, lim, used, pairs, same, tied = [], [], [], [], [], [], []
+    span = k ** (m * (m - 1) // 2 - 1)  # W, the values a cell can hold
+    size = 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4
+    bits = 8 * size
+    if size == 1:
+        tables = [bad[c * span:(c + 1) * span].ljust(256, b"\0") for c in range(k)]
+    else:
+        view = memoryview(bad)
+        tables = [view[c * span:(c + 1) * span] for c in range(k)]
+    h = [k ** (i * m - i * (i + 1) // 2 - i) for i in range(m - 2)]
+    top, ranks, order = k ** (m - 2), range(1, m - 1), sys.byteorder
+    # Per vertex x: shifts[x] and adds[x], for j in ranks, step a vector
+    # over the subsets of {0..x-1} to {0..x}: the j-th part moves up by
+    # C(x, j) cells, and color(x, b) * adds[x][j] adds h(j-1) to each of
+    # the C(x, j-1) cells of the (j-1)-th.  inner[x]: x's parts inside
+    # R + {x}; outer[x]: the concatenated inner parts of the vertices below
+    # x.  nbytes[x]: the bytes of C(x, m-2) cells.
+    shifts, adds, inner, outer, nbytes = [], [], [], [], []
+    # One entry per position reached.  rows[pos]: row b's vectors, for
+    # pair (a, b) at pos.  tests[pos]: its cells' test.  colors[pos]: the
+    # color last tried at pos, one below the first before any.  lim[pos]:
+    # one past the last color to try.  used[pos]: the colors used before
+    # pos.  pairs[pos]: its pair (a, b).  same[pos]: rows b-1 and b agree
+    # on the columns before a.  tied[pos]: rows a-1 and a agree on the
+    # columns before b other than a-1 and a.
+    rows, tests, colors, lim, used, pairs, same, tied = [], [], [], [], [], [], [], []
     outcomes = []
     nodes = prunes = pos = seen = 0
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
@@ -355,25 +402,52 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
             if j == n:
                 return outcomes
             j += 1
-        if pos == len(checks):
+        if pos == len(pairs):
             u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
-            checks.append([
-                [b * (b - 1) // 2 + a
-                 for a, b in itertools.combinations(rest + (u, v), 2)][-2::-1]
-                for rest in itertools.combinations(range(u), m - 2)
-            ])
+            if u == 0:  # vertex v-1 is new
+                x = v - 1
+                shifts.append([bits * math.comb(x, i) for i in range(m - 1)])
+                adds.append([0] + [h[i - 1] * ((1 << bits * math.comb(x, i - 1)) - 1)
+                                   // ((1 << bits) - 1) for i in ranks])
+                inner.append([0] * (m - 1))
+                outer.append([0] * (m - 1))
+                nbytes.append(math.comb(x, m - 2) * size)
+            rows.append([0] * (m - 1))
+            tests.append(None)
             colors.append(0)
             lim.append(0)
             used.append(0)
             pairs.append((u, v))
             same.append(True)
             tied.append(False)
+        a, b = pairs[pos]
+        if pos:
+            # Step the vector before pos by the color just placed: row b's
+            # over {0..a-1}, or at a = 0, row x's over {0..x-1}, x = b-1.
+            x = a or b - 1
+            prev, c = rows[pos - 1], colors[pos - 1]
+            row = rows[pos] if a else [0] * (m - 1)
+            shift, add = shifts[x - 1], adds[x - 1]
+            for i in ranks:
+                row[i] = prev[i] | (prev[i - 1] + c * add[i]) << shift[i]
+            if not a:
+                last, below, part, whole = inner[x - 1], outer[x - 1], inner[x], outer[x]
+                for i in ranks:
+                    whole[i] = below[i] | last[i - 1] << shift[i]
+                    part[i] = whole[i] + k ** (i - 1) * row[i]
+        cells = (inner[a][-1] + top * rows[pos][-1]).to_bytes(nbytes[a], order)
+        if size == 1:
+            tests[pos] = cells.translate
+        else:
+            values = memoryview(cells).cast("H" if size == 2 else "I").tolist()
+            # A getter of one index returns a bare value; add an empty slice.
+            tests[pos] = (itemgetter(*values) if len(values) > 1
+                          else itemgetter(slice(0, 0), *values))
         if pos < len(prefix):
             low, lim[pos] = prefix[pos], prefix[pos] + 1
         else:
             low, lim[pos] = 0, min(seen + 1, k)
         if vertex:
-            a, b = pairs[pos]
             if a:
                 same[pos] = same[pos - 1] and colors[pos - b] == colors[pos - 1]
                 if a + 1 == b:
@@ -386,6 +460,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
                 low = max(low, colors[pos - b + 1])
         colors[pos] = low - 1
         used[pos] = seen
+        test = tests[pos]
         # Try the colors at pos, backing up a position when they run out.
         while True:
             col = colors[pos] + 1
@@ -394,25 +469,15 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
                     kind = EXHAUSTED
                     break
                 pos -= 1
+                test = tests[pos]
                 continue
             colors[pos] = col
             nodes += 1
             if nodes > budget:
                 kind = UNKNOWN
                 break
-            # Every color, not only the new edge's: a subset completed here
-            # can be kappa-connected in a color the new edge does not carry.
-            sets = checks[pos]
-            for idxs in sets:
-                p = col
-                for i in idxs:
-                    p = p * k + colors[i]
-                if bad[p]:
-                    prunes += 1
-                    if idxs is not sets[0]:
-                        sets.remove(idxs)
-                        sets.insert(0, idxs)
-                    break
+            if 1 in test(tables[col]):
+                prunes += 1
             else:
                 seen = max(used[pos], col + 1)
                 pos += 1
@@ -454,8 +519,10 @@ def exists_avoiding_coloring(
 
     Each m-set completed by an assignment is checked by one lookup in
     pattern_table(m, min(kappa, m), k), indexed by the set's coloring read
-    as a base-k number; the m-sets are listed per edge when the search
-    first reaches that edge.  A search whose table would hold more than
+    as a base-k number; the sets an edge completes are looked up all at
+    once, through cells that hold each set's pattern less the edge's own
+    digit, built each time the search reaches the edge (see _backtrack).
+    A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
     or node_budget < 0 raises ValueError before any table is built; for

@@ -7,6 +7,8 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
+import hcramsey.colorings as colorings_module
+
 from hcramsey.colorings import (
     BitstringFamily,
     _indexed_delta_root,
@@ -372,10 +374,52 @@ class TestDeltaMiner:
     def test_determined_row_roots_must_form_a_sunflower(self):
         # Rows 0, 1, 2 are sunflowers with roots {9}, {9}, {}, and {9} & {9}
         # differs from {9} & {}; three rows of 2 or more sets need n >= 5.
+        # Column 3, {9}, {9}, {}, is no sunflower, so the miner rejects B.
         fam, rows, _ = self._lines(5, {p: {9} for p in all_pairs(5) if p[0] < 2})
         assert [_indexed_delta_root(sets) for _, sets in rows[:3]] == [{9}, {9}, set()]
-        assert _line_roots(rows) is None
         assert mine_delta_system(fam, 5, 5) is None
+
+    @staticmethod
+    def _line_roots_with_determined_rule(lines):
+        """_line_roots as it was with a test of the determined roots: they
+        too must form a sunflower."""
+        roots = {}
+        for key, sets in lines:
+            roots[key] = _indexed_delta_root(sets) if len(sets) >= 2 else None
+            if len(sets) >= 2 and roots[key] is None:
+                return None
+        determined = [r for r in roots.values() if r is not None]
+        if len(determined) >= 2 and _indexed_delta_root(determined) is None:
+            return None
+        return roots
+
+    def test_the_determined_roots_rule_never_changes_the_answer(self, monkeypatch):
+        # Seeded families with a per-row and per-column root plus noise, so
+        # that many index sets pass the line tests; the miner must answer
+        # the same with and without the rule.
+        rng = random.Random(41)
+        cases = []
+        for _ in range(1500):
+            n = rng.randint(4, 6)
+            row = [set(rng.sample(range(4), rng.randint(0, 2))) for _ in range(n)]
+            col = [set(rng.sample(range(4), rng.randint(0, 2))) for _ in range(n)]
+            noise = lambda: {rng.randrange(4, 12)} if rng.random() < 0.7 else set()
+            fam = {(a, b): row[a] | col[b] | noise() for a, b in all_pairs(n)}
+            cases.append((fam, n, rng.randint(3, n)))
+        got = [mine_delta_system(*case) for case in cases]
+        fired = 0
+
+        def with_rule(lines):
+            nonlocal fired
+            lines = list(lines)
+            roots = self._line_roots_with_determined_rule(lines)
+            fired += roots is None and _line_roots(lines) is not None
+            return roots
+
+        monkeypatch.setattr(colorings_module, "_line_roots", with_rule)
+        assert [mine_delta_system(*case) for case in cases] == got
+        assert sum(r is not None for r in got) > 100
+        assert fired > 0  # the rule rejects rows that a column test then rejects
 
     def test_target_size_must_be_positive(self):
         with pytest.raises(ValueError, match="target size must be positive"):

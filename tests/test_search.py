@@ -24,6 +24,7 @@ from hcramsey.graphs import (
     connectivity_table,
     induced_color_graph,
     is_kappa_connected,
+    is_kappa_connected_mask,
     star_masks,
 )
 from hcramsey.search import (
@@ -476,6 +477,74 @@ def test_pinned_search_counts_with_the_floor(params):
         assert arrow_check(out.coloring, kappa, m) is None
 
 
+# (n, m, kappa, k, budget) -> (kind, nodes, forbidden_prunes), pinned from
+# the search that read each completed m-set's pattern with a Horner loop.
+# They reach positions far from 0, where a position completes hundreds of
+# m-sets, with cells 2 bytes wide (m=5), 1 byte (m=4) and 4 bytes (m=7).
+PINNED_BUDGET_COUNTS = {
+    (20, 5, 4, 2, 20_000): (UNKNOWN, 20_001, 8_032),
+    (30, 4, 3, 2, 20_000): (UNKNOWN, 20_001, 9_113),
+    (10, 7, 2, 2, 3_000): (UNKNOWN, 3_001, 1_145),
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_BUDGET_COUNTS))
+def test_pinned_budgeted_counts_far_from_the_first_position(params):
+    out = exists_avoiding_coloring(*params[:4], node_budget=params[4])
+    assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == (
+        PINNED_BUDGET_COUNTS[params]
+    )
+
+
+def _first_completing_bad_set(c, m, kappa):
+    """The first colex position of c whose pair completes an m-set with a
+    kappa-connected color class, or None.  Each class of each set is
+    decided by the flow certificate, without pattern_table."""
+    row = _rows(c)
+    pos = 0
+    for b in range(c.n):
+        for a in range(b):
+            for rest in itertools.combinations(range(a), m - 2):
+                masks = [0] * c.k
+                for i, (x, y) in enumerate(itertools.combinations(rest + (a, b), 2)):
+                    masks[row[x][y]] |= 1 << i
+                if any(is_kappa_connected_mask(m, mask, kappa)[0] for mask in masks):
+                    return pos
+            pos += 1
+    return None
+
+
+# Every (m, k) with m 2..7 and k 1..4 that PATTERN_LIMIT admits.  A cell is
+# 1 byte for k^(C(m,2)-1) <= 2^8, as at (3, 3) and (4, 3); 2 bytes up to
+# 2^16, as at (5, 2), (5, 3) and (6, 2); else 4, as at (7, 2) and (5, 4).
+ORACLE_CASES = [(m, k) for m in range(2, 8) for k in range(1, 5)
+                if k ** (m * (m - 1) // 2) <= PATTERN_LIMIT]
+
+
+@pytest.mark.parametrize("m, k", ORACLE_CASES)
+def test_search_prunes_at_the_first_position_the_oracle_finds(m, k):
+    # A prefix of every position pins one coloring, and vertex=False asks
+    # nothing more of it, so the search tries one color per position and
+    # stops at the first that completes a bad m-set.
+    rng = random.Random(1814 * m + k)
+    try:
+        for kappa in range(1, m + 1):
+            for _ in range(5):
+                n = rng.randint(max(m - 1, 1), 11)
+                c = EdgeColoring(n, k, tuple(rng.randrange(k) for _ in all_pairs(n)))
+                (out,) = _backtrack(n, m, kappa, k, None, prefix=_colex(c), vertex=False)
+                first = _first_completing_bad_set(c, m, kappa)
+                if first is None:
+                    want = (AVOIDING, n * (n - 1) // 2, 0)
+                else:
+                    want = (EXHAUSTED, first + 1, 1)
+                assert (out.kind, out.stats.nodes, out.stats.forbidden_prunes) == want, (
+                    n, kappa, c.colors)
+    finally:
+        if k ** (m * (m - 1) // 2) > 1 << 20:  # (6, 3) tables are 14 MB each
+            pattern_table.cache_clear()
+
+
 def _rows(c):
     """The color matrix of c, with None on the diagonal."""
     row = [[None] * c.n for _ in range(c.n)]
@@ -815,8 +884,9 @@ def test_pattern_limit_admits_a_table_of_exactly_the_limit(monkeypatch):
 
 
 def test_completion_index_is_built_as_the_search_reaches_it():
-    # All C(26, 6) = 230,230 completed m-sets, listed up front, took about
-    # 60 MB; an 11-node search reaches only the first few edges.
+    # Cells are built only for the positions reached, and an 11-node search
+    # reaches only the first few edges; listing all C(26, 6) = 230,230
+    # completed m-sets up front took about 60 MB.
     tracemalloc.start()
     try:
         out = exists_avoiding_coloring(26, 6, 1, 2, node_budget=10)
