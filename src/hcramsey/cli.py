@@ -59,8 +59,7 @@ EXIT_UNKNOWN = 3
 BUDGET_HELP = "node budget, at least 0; a search that exceeds it is unknown (exit 3)"
 SEARCH_HELP = (
     "one table lookup per completed m-set, in a table of colors^C(m,2) "
-    "entries, made for all the m-sets an edge completes in one pass over "
-    "1-, 2- or 4-byte cells built when the search reaches the edge; more than 2^24 "
+    "entries, made for all the m-sets an edge completes at once; more than 2^24 "
     "entries (m=7 with colors >= 3, m=6 with colors >= 4, m=5 with "
     "colors >= 6, m=4 with colors >= 17) or m > 7 is refused with exit 2"
 )

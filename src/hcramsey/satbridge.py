@@ -56,7 +56,9 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     monochromatic copy.  Literal (edge e, color i) is e*k + i + 1; every
     clause is built sorted and the list is sorted once, so identical
     parameters give byte-identical DIMACS output.  No clause repeats: a
-    forbidden graph spans its m vertices.  A negative n raises ValueError.
+    forbidden graph spans its m vertices.  A negative n raises ValueError,
+    and so do more than CLAUSE_LIMIT one-hot clauses, checked before any
+    table is built, or forbidden clauses (see the guards below).
 
     Each forbidden graph gets one getter (_clause_getter) that picks its
     edges from a subset's literal list.  Per subset and color the negated
@@ -67,6 +69,11 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
         raise ValueError(f"need n >= 0, got n={n}")
     if m < 2 or kappa < 1 or k < 1:
         raise ValueError("need m >= 2, kappa >= 1, k >= 1")
+    # One at-least-one and C(k,2) at-most-one clauses per edge, counted
+    # apart from the forbidden clauses below, whose guard sees none of them.
+    onehot = math.comb(n, 2) * (1 + math.comb(k, 2))
+    if onehot > CLAUSE_LIMIT:
+        raise ValueError(f"size limit: {onehot} one-hot clauses, more than {CLAUSE_LIMIT}")
     # The guard keeps the m! factor of its original placement count, so the
     # refused instances stay the same: (9, 6, 1, 2) and (8, 6, 3, 2) are
     # refused only because of it.  The factors without the forbidden list

@@ -241,12 +241,16 @@ def _live_vertices(nbrs, n, need):
 # Backtracking search for avoiding colorings
 
 
-@lru_cache(maxsize=None)
-def pattern_table(m: int, threshold: int, k: int) -> bytes:
-    """bad[p] = 1 if the coloring of K_m's pairs coded by p has a color
-    class whose connectivity_table(m) entry is >= threshold, else 0.
-    Digit j of p in base k (weight k**j) is the color of the j-th pair in
-    lexicographic order, which is bit j of that color's edge mask.
+@lru_cache(maxsize=4)
+def pattern_table(m: int, threshold: int, k: int) -> tuple:
+    """The table bad, as k bytes columns: bad[p] = 1 if the coloring of
+    K_m's pairs coded by p has a color class whose connectivity_table(m)
+    entry is >= threshold, else 0.  Digit j of p in base k (weight k**j)
+    is the color of the j-th pair in lexicographic order, which is bit j
+    of that color's edge mask.  Column c holds the W = k**(C(m,2)-1)
+    entries whose top digit, the last pair's color, is c: bad[p] is
+    column p // W at p % W.  The cache keeps the four tables used last;
+    the largest, m = 6 with k = 3, holds 3**15 bytes (14.3 MB).
 
     Built by rows: p = ph * k**low + pl, and color c's mask is hc | lc,
     with hc from the high digits ph and lc < 2**low from the low digits pl.
@@ -255,7 +259,8 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
     the rows of the colors in ph are OR-ed as integers.  A color absent
     from ph reads the window at 0.  Those rows, OR-ed over all colors once,
     go into every row: for a color in ph they add nothing, since an entry
-    never drops when edges are added.
+    never drops when edges are added.  The top digit is ph's, so each
+    column is one block of consecutive rows.
     """
     npairs = m * (m - 1) // 2
     table = connectivity_table(m).translate(bytes(x >= threshold for x in range(256)))
@@ -282,7 +287,8 @@ def pattern_table(m: int, threshold: int, k: int) -> bytes:
             window = table[hc:hc + width] + pad
             row |= int.from_bytes(patterns[c].translate(window), "little")
         rows.append(row.to_bytes(size, "little"))
-    return b"".join(rows)
+    block = len(rows) // k
+    return tuple(b"".join(rows[c * block:(c + 1) * block]) for c in range(k))
 
 
 def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
@@ -313,15 +319,15 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
 
     The cells.  The pair (a, b) is the last of each set it completes in
     lexicographic order, so it is the top digit of the set's pattern (see
-    pattern_table): the set is bad under col iff bad[col * W + rest], with
-    W = k^(C(m,2)-1) and rest < W the set's other digits.  The position
-    keeps one cell per R, in colex order, holding rest, and a node prunes
-    iff `1 in test(tables[col])`, tables[col] being bad's slice for col:
-    test is the cells' bytes.translate when W <= 256 (tables padded to 256
-    bytes), else an operator.itemgetter of the 2- or 4-byte cell values
-    over a memoryview of bad, which copies no table.  Every node reads all
-    of a position's cells, so no set is listed, and there is no
-    move-to-front step: which set prunes a node never mattered.
+    pattern_table): the set is bad under col iff byte rest of column col,
+    with W = k^(C(m,2)-1) and rest < W the set's other digits.  The
+    position keeps one cell per R, in colex order, holding rest, and a node
+    prunes iff `1 in test(tables[col])`, tables[col] being column col as
+    pattern_table returns it: test is the cells' bytes.translate when
+    W <= 256 (columns padded to 256 bytes), else an operator.itemgetter of
+    the 2- or 4-byte cell values.  Every node reads all of a position's
+    cells, so no set is listed, and there is no move-to-front step: which
+    set prunes a node never mattered.
 
     Why the weights split exactly.  In an m-set s_0 < ... < s_{m-1}, the
     pair (s_i, s_t) is the (i*m - i(i+1)/2 + t - i - 1)-th in lexicographic
@@ -360,16 +366,13 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     """
     t0 = time.perf_counter()
     j = n if start is None else start
-    bad = pattern_table(m, min(kappa, m), k)
     budget = float("inf") if node_budget is None else node_budget
     span = k ** (m * (m - 1) // 2 - 1)  # W, the values a cell can hold
     size = 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4
     bits = 8 * size
-    if size == 1:
-        tables = [bad[c * span:(c + 1) * span].ljust(256, b"\0") for c in range(k)]
-    else:
-        view = memoryview(bad)
-        tables = [view[c * span:(c + 1) * span] for c in range(k)]
+    # Columns shorter than 256 bytes are padded for bytes.translate; ljust
+    # leaves a longer column as it is.
+    tables = [col.ljust(256, b"\0") for col in pattern_table(m, min(kappa, m), k)]
     h = [k ** (i * m - i * (i + 1) // 2 - i) for i in range(m - 2)]
     top, ranks, order = k ** (m - 2), range(1, m - 1), sys.byteorder
     # Per vertex x: shifts[x] and adds[x], for j in ranks, step a vector
@@ -518,10 +521,12 @@ def exists_avoiding_coloring(
     monochromatic kappa-connected m-set.
 
     Each m-set completed by an assignment is checked by one lookup in
-    pattern_table(m, min(kappa, m), k), indexed by the set's coloring read
-    as a base-k number; the sets an edge completes are looked up all at
-    once, through cells that hold each set's pattern less the edge's own
-    digit, built each time the search reaches the edge (see _backtrack).
+    pattern_table(m, min(kappa, m), k): the set's coloring read as a
+    base-k number, its top digit the color of the edge just assigned,
+    which picks the column, and its other digits the offset.  The sets an
+    edge completes are looked up in that column all at once, through cells
+    that hold each set's offset, built each time the search reaches the
+    edge (see _backtrack).
     A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
     k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,

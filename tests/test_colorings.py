@@ -120,6 +120,11 @@ class TestSierpinskiColoring:
             )
             assert ds[0] == ds[1]
 
+    def test_first_difference_refuses_equal_strings(self):
+        assert first_difference("0110", "0100") == 2
+        with pytest.raises(ValueError, match="strings are equal"):
+            first_difference("0110", "0110")
+
 
 class TestForestPartition:
     @pytest.mark.parametrize("n", [2, 4, 6, 8])

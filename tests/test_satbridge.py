@@ -18,7 +18,12 @@ from hcramsey.satbridge import (
     verify_cnf_equivalence,
     violated_clause,
 )
-from hcramsey.search import AVOIDING, arrow_check, exists_avoiding_coloring
+from hcramsey.search import (
+    AVOIDING,
+    arrow_check,
+    exists_avoiding_coloring,
+    minimal_connected_graphs,
+)
 
 from conftest import two_pentagons_coloring
 
@@ -81,6 +86,19 @@ class TestEmitCnf:
             emit_cnf(12, 7, 2, 4)
         after = connectivity_table.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("params, clauses", [
+        # m > n: no m-set, so the forbidden-clause estimate reads 0.
+        ((3, 4, 1, 100_000), 3 * (1 + 100_000 * 99_999 // 2)),
+        # The forbidden estimate, 768,000, is under CLAUSE_LIMIT.
+        ((4, 4, 1, 2000), 6 * (1 + 2000 * 1999 // 2)),
+    ])
+    def test_size_limit_counts_the_one_hot_clauses(self, params, clauses):
+        before = connectivity_table.cache_info(), minimal_connected_graphs.cache_info()
+        with pytest.raises(ValueError, match=f"size limit: {clauses} one-hot clauses"):
+            emit_cnf(*params)
+        after = connectivity_table.cache_info(), minimal_connected_graphs.cache_info()
+        assert [(c.hits, c.misses) for c in after] == [(c.hits, c.misses) for c in before]
 
     @pytest.mark.parametrize("params", [(9, 6, 1, 2), (8, 6, 3, 2)])
     def test_size_limit_counts_the_forbidden_list(self, params):
@@ -158,6 +176,13 @@ class TestDecodeModel:
         ]
         with pytest.raises(ValueError, match="malformed model"):
             decode_model(inst, lits)
+
+    def test_color_out_of_range_has_no_variable(self):
+        inst = emit_cnf(3, 3, 1, 2)
+        assert inst.var(2, 1) == inst.num_vars
+        for color in (2, -1):
+            with pytest.raises(ValueError, match=f"color {color} out of range"):
+                inst.var(0, color)
 
     def test_literal_beyond_the_variables_rejected(self):
         inst = emit_cnf(3, 3, 1, 2)

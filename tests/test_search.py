@@ -712,18 +712,37 @@ def test_pattern_table_matches_decoded_masks(m):
         values = [_pattern_value(table, m, k, p) for p in range(k ** (m * (m - 1) // 2))]
         for kappa in range(1, m + 1):
             want = bytes(value >= kappa for value in values)
-            assert pattern_table(m, kappa, k) == want, (m, kappa, k)
+            cols = pattern_table(m, kappa, k)
+            assert len(cols) == k, (m, kappa, k)
+            assert {len(col) for col in cols} == {len(want) // k}, (m, kappa, k)
+            assert b"".join(cols) == want, (m, kappa, k)
 
 
 @pytest.mark.parametrize("m, k", [(6, 3), (7, 2)])
 def test_pattern_table_sampled(m, k):
     table = connectivity_table(m)
-    bad = pattern_table(m, 2, k)
-    assert len(bad) == k ** (m * (m - 1) // 2)
+    cols = pattern_table(m, 2, k)
+    width = k ** (m * (m - 1) // 2 - 1)
+    assert [len(col) for col in cols] == [width] * k
     rng = random.Random(8 * m + k)
     for _ in range(2000):
-        p = rng.randrange(len(bad))
-        assert bad[p] == (_pattern_value(table, m, k, p) >= 2), p
+        p = rng.randrange(width * k)
+        assert cols[p // width][p % width] == (_pattern_value(table, m, k, p) >= 2), p
+
+
+def test_pattern_table_cache_holds_a_bounded_number_of_tables():
+    # Searches of more distinct (m, min(kappa, m), k) than the bound keep
+    # only the last tables built.
+    bound = pattern_table.cache_info().maxsize
+    assert bound is not None
+    pattern_table.cache_clear()
+    params = [(m, kappa, k) for m in (3, 4) for kappa in (1, 2, 3) for k in (1, 2)]
+    assert len({(m, min(kappa, m), k) for m, kappa, k in params}) > bound
+    for m, kappa, k in params:
+        exists_avoiding_coloring(m + 1, m, kappa, k)
+    info = pattern_table.cache_info()
+    assert info.currsize == bound
+    assert info.misses == len(params)
 
 
 def _refused_before_any_table(match, *args, search=exists_avoiding_coloring, **kwargs):
