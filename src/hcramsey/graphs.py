@@ -198,6 +198,36 @@ def is_connected(g: Graph) -> bool:
     return _mask_component(_adj_masks(g), full) == full
 
 
+def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
+    """(count, common, matched): internally disjoint s-t paths of length
+    2 and 3 for a nonadjacent pair, in the order the flow's BFS finds them.
+
+    `common` is the set of common neighbours c (paths s-c-t), as the bits
+    of their vin nodes in the vertex-split digraph of _max_disjoint_paths.
+    `matched` lists the (a, b) of paths s-a-b-t, again as vin bits: each a
+    in N(s) - N(t) in ascending order takes the least b still free in
+    N(t) - N(s).  The matching stops once the two give `cap` paths.
+    """
+    # arcs[2v + 1] is v's neighbour set, as the bits of their vin nodes,
+    # so the vertex whose vin bit is `bit` has neighbours
+    # arcs[bit.bit_length()].
+    ns, nt = arcs[2 * s + 1], arcs[2 * t + 1]
+    common = ns & nt
+    found = common.bit_count()
+    left, right = ns & ~nt, nt & ~ns
+    matched = []
+    while left and (cap is None or found < cap):
+        bit = left & -left
+        left ^= bit
+        ends = arcs[bit.bit_length()] & right
+        if ends:
+            end = ends & -ends
+            right ^= end
+            matched.append((bit, end))
+            found += 1
+    return found, common, matched
+
+
 def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
 
@@ -207,6 +237,20 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None)
     the separator is a minimum vertex cut disjoint from {s, t}.  Once the
     flow reaches `cap` it returns (cap, (), frozenset()) at once: the
     caller only needs to know the value is not below it.
+
+    The flow augments along the first shortest residual path its BFS
+    finds, taking nodes lowest first.  Its first rounds are applied
+    without a BFS: the paths of _short_paths, in that order.  While a
+    common neighbour c is unsaturated, the sink vin(t) is 3 arcs from the
+    source, reached first through the lowest such c; a saturated c leaves
+    vin(c) only an arc back to the source.  Then the sink is 5 arcs away.
+    The nodes 2 arcs away are vout(a) for the unsaturated a in N(s), in
+    ascending order, so the first vin(b) with b free in N(t) - N(s) to
+    enter the queue is the least b of the least a that has one.  The
+    other nodes 4 arcs away have no arc to vin(t): vout(y) for y outside
+    N(t), and vout(a) of a saturated a, reached back through vin(b).  So
+    the residual after the seed is the residual after those rounds, and
+    the later rounds, the paths and the separator are unchanged.
     """
     n = len(arcs) // 2
     # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
@@ -219,8 +263,27 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None)
     res = arcs.copy()
     res[2 * s] = res[2 * t] = 0
     src, snk = 2 * s + 1, 2 * t
+    # The seed: a saturated v keeps one arc out of vin(v), back to its
+    # predecessor, and opens vout(v) -> vin(v); vin(t) gains the reverse
+    # arc of the last edge.
+    flow, common, matched = _short_paths(arcs, s, t, cap)
+    if cap is not None and flow >= cap:
+        return cap, (), frozenset()
+    while common:
+        c = common & -common
+        common ^= c
+        v = c.bit_length() - 1
+        res[v] = 1 << src
+        res[v + 1] |= c
+        res[snk] |= c << 1
+    for a, b in matched:
+        u, v = a.bit_length() - 1, b.bit_length() - 1
+        res[u] = 1 << src
+        res[u + 1] |= a
+        res[v] = a << 1
+        res[v + 1] |= b
+        res[snk] |= b << 1
     parent = [0] * (2 * n)
-    flow = 0
     while True:
         # Queue order, lowest node first: certificates are deterministic.
         seen = 1 << src
@@ -297,47 +360,49 @@ def _connectivity_certificate(n: int, mask: int):
         replaced the best.
       - Length-3 bound: the common neighbours of s and t, plus a greedy
         matching of edges ab from N(s) - N(t) into N(t) - N(s), give
-        internally disjoint paths s-c-t and s-a-b-t, so a pair with
-        at least b of them is passed over without a flow.
+        internally disjoint paths s-c-t and s-a-b-t (_short_paths), so a
+        pair with at least b of them is passed over without a flow.  The
+        flow of any other pair starts from the same paths.
       - Any other pair's flow stops once it reaches b.
     A pair of smaller value runs its flow in full, so the pair, paths and
-    separator returned are those of the scan without the skips."""
-    pairs = all_pairs(n)
+    separator returned are those of the scan without the skips.
+
+    The mask is read one row at a time, each row shifted off once: row u
+    holds the pairs (u, v), v > u, as bit v.  Testing bit i of the mask
+    for each pair would shift the whole mask C(n, 2) times."""
+    full = 1 << n
+    rows, rest = [], mask
+    for u in range(n - 1):
+        rows.append((rest & (1 << n - u - 1) - 1) << u + 1)
+        rest >>= n - u - 1
     # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
     arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
-    for i, (u, v) in enumerate(pairs):
-        if mask >> i & 1:
+    for u, row in enumerate(rows):
+        while row:
+            bit = row & -row
+            row ^= bit
+            v = bit.bit_length() - 1
             arcs[2 * u + 1] |= 1 << 2 * v
             arcs[2 * v + 1] |= 1 << 2 * u
     best = None
-    for i, (s, t) in enumerate(pairs):
-        if mask >> i & 1:
-            continue
-        cap = None if best is None else best[0]
-        if cap is not None:
-            if s >= cap:
-                break
-            # arcs[2v + 1] is v's neighbour set, as the bits of their vin
-            # nodes, so the vertex whose vin bit is `bit` has neighbours
-            # arcs[bit.bit_length()].
-            ns, nt = arcs[2 * s + 1], arcs[2 * t + 1]
-            found = (ns & nt).bit_count()
-            left, right = ns & ~nt, nt & ~ns
-            while left and found < cap:
-                bit = left & -left
-                left ^= bit
-                ends = arcs[bit.bit_length()] & right
-                if ends:
-                    right ^= ends & -ends
-                    found += 1
-            if found >= cap:
+    for s, row in enumerate(rows):
+        gaps = ~row & full - (2 << s)
+        while gaps:
+            bit = gaps & -gaps
+            gaps ^= bit
+            t = bit.bit_length() - 1
+            cap = None if best is None else best[0]
+            if cap is not None:
+                if s >= cap:
+                    return best
+                if _short_paths(arcs, s, t, cap)[0] >= cap:
+                    continue
+            value, paths, separator = _max_disjoint_paths(arcs, s, t, cap)
+            if value == cap:
                 continue
-        value, paths, separator = _max_disjoint_paths(arcs, s, t, cap)
-        if value == cap:
-            continue
-        best = (value, (s, t), paths, separator)
-        if value == 0:
-            break
+            best = (value, (s, t), paths, separator)
+            if value == 0:
+                return best
     assert best is not None
     return best
 

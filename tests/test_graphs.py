@@ -293,6 +293,93 @@ class TestConnectivityTable:
             assert table[mask] == brute_force_kappa(g), (m, mask)
 
 
+def _arcs(n, mask):
+    """The vertex-split digraph of _max_disjoint_paths for the graph on n
+    vertices with edge mask `mask`."""
+    arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
+    for i, (u, v) in enumerate(all_pairs(n)):
+        if mask >> i & 1:
+            arcs[2 * u + 1] |= 1 << 2 * v
+            arcs[2 * v + 1] |= 1 << 2 * u
+    return arcs
+
+
+def _bfs_only_flow(arcs, s, t, cap=None):
+    """_max_disjoint_paths as it was before its seed of short paths: every
+    augmenting path comes from a BFS.  The oracle of the seeded flow."""
+    n = len(arcs) // 2
+    # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
+    # vin(v) has one unit out, s and t are nonadjacent and nothing enters
+    # vout(t), so an edge arc carries 0 or 1 unit: its forward residual
+    # never closes and its reverse arc is open iff it carries flow.  An
+    # augmenting step a->b therefore flips a vertex arc (a>>1 == b>>1),
+    # opens b->a on a forward edge arc (a odd) and closes a->b on a
+    # reverse edge arc (a even).
+    res = arcs.copy()
+    res[2 * s] = res[2 * t] = 0
+    src, snk = 2 * s + 1, 2 * t
+    parent = [0] * (2 * n)
+    flow = 0
+    while True:
+        # Queue order, lowest node first: certificates are deterministic.
+        seen = 1 << src
+        queue = [src]
+        for a in queue:
+            new = res[a] & ~seen
+            seen |= new
+            while new:
+                bit = new & -new
+                new ^= bit
+                b = bit.bit_length() - 1
+                parent[b] = a
+                queue.append(b)
+            if seen >> snk & 1:
+                break
+        if not seen >> snk & 1:
+            break
+        b = snk
+        while b != src:
+            a = parent[b]
+            if a >> 1 == b >> 1:
+                res[a] ^= 1 << b
+                res[b] |= 1 << a
+            elif a & 1:
+                res[b] |= 1 << a
+            else:
+                res[a] ^= 1 << b
+            b = a
+        flow += 1
+        if flow == cap:
+            return flow, (), frozenset()
+
+    # Minimum vertex cut from the reach of the final, failing BFS.
+    separator = frozenset(
+        v for v in range(n)
+        if v != s and v != t and seen >> 2 * v & 1 and not seen >> 2 * v + 1 & 1
+    )
+
+    # A vertex v on a flow path has its vertex arc closed and exactly one
+    # open reverse edge arc, back to its predecessor on the path.
+    nxt = [t] * n
+    starts = []
+    for v in range(n):
+        back = res[2 * v] & ~(2 << 2 * v)
+        if v != s and v != t and back:
+            u = (back.bit_length() - 1) >> 1
+            if u == s:
+                starts.append(v)
+            else:
+                nxt[u] = v
+    paths = []
+    for v in starts:
+        path = [s, v]
+        while v != t:
+            v = nxt[v]
+            path.append(v)
+        paths.append(tuple(path))
+    return len(starts), tuple(paths), separator
+
+
 class TestCertificates:
     def test_certificate_digest_is_stable(self):
         # Pins value, minimizing pair, path order and separator of the flow
@@ -379,22 +466,47 @@ class TestCertificates:
     @staticmethod
     def _uncapped_certificate(n, mask):
         """The full flow of each nonadjacent pair in lexicographic order,
-        keeping the first of least value; value 0 can not be beaten."""
-        pairs = all_pairs(n)
-        arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
-        for i, (u, v) in enumerate(pairs):
-            if mask >> i & 1:
-                arcs[2 * u + 1] |= 1 << 2 * v
-                arcs[2 * v + 1] |= 1 << 2 * u
+        keeping the first of least value; value 0 can not be beaten.  The
+        flows are _bfs_only_flow's, so the seeded flow is checked too."""
+        arcs = _arcs(n, mask)
         best = None
-        for i, (s, t) in enumerate(pairs):
+        for i, (s, t) in enumerate(all_pairs(n)):
             if not mask >> i & 1:
-                value, paths, separator = graphs_module._max_disjoint_paths(arcs, s, t)
+                value, paths, separator = _bfs_only_flow(arcs, s, t)
                 if best is None or value < best[0]:
                     best = (value, (s, t), paths, separator)
                 if value == 0:
                     break
         return best
+
+    def test_seeded_flow_matches_the_bfs_only_flow(self):
+        # The seed replaces the first BFS rounds, so every value, path,
+        # separator and early return at a cap is the BFS-only flow's.
+        cases = [(n, mask) for n in range(2, 6) for mask in range(1 << n * (n - 1) // 2)]
+        rng = random.Random(2025)
+        for _ in range(300):
+            g = random_graph(rng.randrange(7, 13), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+            cases.append((g.n, g.mask))
+        for n, mask in cases:
+            arcs = _arcs(n, mask)
+            for i, (s, t) in enumerate(all_pairs(n)):
+                if not mask >> i & 1:
+                    for cap in (None, 1, 2, 3, 4, 5):
+                        assert graphs_module._max_disjoint_paths(arcs, s, t, cap) == _bfs_only_flow(
+                            arcs, s, t, cap
+                        ), (n, mask, s, t, cap)
+
+    def test_k400_minus_a_perfect_matching(self):
+        # 398 common neighbours seed the flow of (0, 1) and skip every
+        # later pair (2i, 2i + 1) until Even's stop; reading the mask by
+        # rows keeps the 79,600-bit mask from being shifted once per pair.
+        n = 400
+        g = Graph.from_edges(n, set(all_pairs(n)) - {(u, u + 1) for u in range(0, n, 2)})
+        value, pair, paths, separator = _connectivity_certificate(g.n, g.mask)
+        assert (value, pair) == (398, (0, 1))
+        assert paths == tuple((0, c, 1) for c in range(2, n))
+        assert separator == frozenset(range(2, n))
+        assert vertex_connectivity(g) == 398
 
     def test_skips_keep_the_uncapped_certificate(self):
         cases = [(n, mask) for n in range(2, 7) for mask in range((1 << n * (n - 1) // 2) - 1)]
