@@ -309,13 +309,24 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     not avoiding; each one's stats.wall_time is the time from the call to
     that j's decision.
 
-    The loop has two parts.  Reach, at position 0 and after each color that
-    passes, reads off every K_j now colored (K_0 and K_1 as well), steps a
-    new position's pair on from the last, builds the position's cells and
-    sets its colors to try.  Try counts one node per color and checks every
-    set the pair completes, in every color, not only the new edge's: a pass
-    goes on to reach the next position, and when the colors run out it
-    backs up a position.
+    The loop has two parts.  Reach runs at position 0 and after each color
+    that passes.  The first time it gets to a position, which happens once
+    per position and in order, it reads off every K_j now colored (K_0 and
+    K_1 as well) while the position is the goal C(j,2), kept in a local and
+    moved on by j as j grows; then it steps the pair on from the last and
+    stores the position's record: the pair (a, b), the step that adds
+    vertex x-1 to the row vector ending there (x = a, or b-1 at a = 0),
+    a's inner parts, the cells' length in bytes and the row vectors it
+    steps from and into.  Every
+    reach, the first included, then does only the work that depends on the
+    colors placed before the position: it steps one row vector by the color
+    just placed, rebuilds x's inner parts at a = 0, builds the cells and
+    their test, computes the colors to try and the floor, and stores the
+    test, the limit and the colors used before, for the try part to take up
+    again when it backs up to the position.  Try counts one node per color
+    and checks every set the pair completes, in every color, not only the
+    new edge's: a pass goes on to reach the next position, and when the
+    colors run out it backs up a position.
 
     The cells.  The pair (a, b) is the last of each set it completes in
     lexicographic order, so it is the top digit of the set's pattern (see
@@ -366,123 +377,139 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     """
     t0 = time.perf_counter()
     j = n if start is None else start
+    goal = j * (j - 1) // 2  # the position at which K_j is read off, C(j, 2)
     budget = float("inf") if node_budget is None else node_budget
     span = k ** (m * (m - 1) // 2 - 1)  # W, the values a cell can hold
     size = 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4
-    bits = 8 * size
+    bits, fmt = 8 * size, "H" if size == 2 else "I"
     # Columns shorter than 256 bytes are padded for bytes.translate; ljust
     # leaves a longer column as it is.
     tables = [col.ljust(256, b"\0") for col in pattern_table(m, min(kappa, m), k)]
     h = [k ** (i * m - i * (i + 1) // 2 - i) for i in range(m - 2)]
     top, ranks, order = k ** (m - 2), range(1, m - 1), sys.byteorder
-    # Per vertex x: shifts[x] and adds[x], for j in ranks, step a vector
+    # Per vertex x: steps[x] = (shift, add), for j in ranks, steps a vector
     # over the subsets of {0..x-1} to {0..x}: the j-th part moves up by
-    # C(x, j) cells, and color(x, b) * adds[x][j] adds h(j-1) to each of
-    # the C(x, j-1) cells of the (j-1)-th.  inner[x]: x's parts inside
-    # R + {x}; outer[x]: the concatenated inner parts of the vertices below
-    # x.  nbytes[x]: the bytes of C(x, m-2) cells.
-    shifts, adds, inner, outer, nbytes = [], [], [], [], []
-    # One entry per position reached.  rows[pos]: row b's vectors, for
-    # pair (a, b) at pos.  tests[pos]: its cells' test.  colors[pos]: the
-    # color last tried at pos, one below the first before any.  lim[pos]:
-    # one past the last color to try.  used[pos]: the colors used before
-    # pos.  pairs[pos]: its pair (a, b).  same[pos]: rows b-1 and b agree
-    # on the columns before a.  tied[pos]: rows a-1 and a agree on the
-    # columns before b other than a-1 and a.
-    rows, tests, colors, lim, used, pairs, same, tied = [], [], [], [], [], [], [], []
+    # shift[j] = C(x, j) cells, and color(x, b) * add[j] adds h(j-1) to
+    # each of the C(x, j-1) cells of the (j-1)-th.  inner[x]: x's parts
+    # inside R + {x}; outer[x]: the concatenated inner parts of the
+    # vertices below x.
+    steps, inner, outer = [], [], []
+    # One entry per position reached, for pair (a, b).  recs[pos]: (a, b,
+    # steps[x - 1], inner[a], the bytes of C(a, m-2) cells, rows[pos - 1],
+    # the row stepped into), written when the loop first reaches pos; x =
+    # a or b-1, and the row stepped into is rows[pos] when a > 0, else a
+    # list of its own that x's inner parts are rebuilt from.  rows[pos]:
+    # row b's vectors over {0..a-1}, the zero vector at a = 0.
+    # colors[pos]: the color that passed at pos last.  state[pos]: (test,
+    # stop, seen), the cells' test, one past the last color to try and the
+    # colors used before pos, written at each reach.  same[pos]: rows b-1
+    # and b agree on the columns before a.  tied[pos]: rows a-1 and a agree
+    # on the columns before b other than a-1 and a.
+    recs, rows, colors, state, same, tied = [], [], [], [], [], []
     outcomes = []
     nodes = prunes = pos = seen = 0
+    pinned = len(prefix)
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
     kind = None
     while kind is None:
         # Reach pos, with `seen` colors used before it.
-        while pos == j * (j - 1) // 2:
-            coloring = tuple(colors[b * (b - 1) // 2 + a] for a, b in all_pairs(j))
-            stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
-            outcomes.append(SearchOutcome(
-                j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats,
-            ))
-            if j == n:
-                return outcomes
-            j += 1
-        if pos == len(pairs):
+        if pos == len(recs):
+            # The goal lies ahead of every position reached before, so it is
+            # met only here.
+            while pos == goal:
+                coloring = tuple(colors[b * (b - 1) // 2 + a] for a, b in all_pairs(j))
+                stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
+                outcomes.append(SearchOutcome(
+                    j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats,
+                ))
+                if j == n:
+                    return outcomes
+                goal += j
+                j += 1
             u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
             if u == 0:  # vertex v-1 is new
                 x = v - 1
-                shifts.append([bits * math.comb(x, i) for i in range(m - 1)])
-                adds.append([0] + [h[i - 1] * ((1 << bits * math.comb(x, i - 1)) - 1)
-                                   // ((1 << bits) - 1) for i in ranks])
+                steps.append((
+                    [bits * math.comb(x, i) for i in range(m - 1)],
+                    [0] + [h[i - 1] * ((1 << bits * math.comb(x, i - 1)) - 1)
+                           // ((1 << bits) - 1) for i in ranks],
+                ))
                 inner.append([0] * (m - 1))
                 outer.append([0] * (m - 1))
-                nbytes.append(math.comb(x, m - 2) * size)
             rows.append([0] * (m - 1))
-            tests.append(None)
+            recs.append((u, v, steps[u - 1 if u else v - 2], inner[u],
+                         math.comb(u, m - 2) * size, rows[pos - 1],
+                         rows[pos] if u else [0] * (m - 1)))
             colors.append(0)
-            lim.append(0)
-            used.append(0)
-            pairs.append((u, v))
+            state.append(None)
             same.append(True)
             tied.append(False)
-        a, b = pairs[pos]
-        if pos:
-            # Step the vector before pos by the color just placed: row b's
-            # over {0..a-1}, or at a = 0, row x's over {0..x-1}, x = b-1.
-            x = a or b - 1
-            prev, c = rows[pos - 1], colors[pos - 1]
-            row = rows[pos] if a else [0] * (m - 1)
-            shift, add = shifts[x - 1], adds[x - 1]
-            for i in ranks:
-                row[i] = prev[i] | (prev[i - 1] + c * add[i]) << shift[i]
-            if not a:
-                last, below, part, whole = inner[x - 1], outer[x - 1], inner[x], outer[x]
+        a, b, (shift, add), part, nb, prev, row = recs[pos]
+        # Step the vector before pos by the color just placed: row b's over
+        # {0..a-1}, or at a = 0, row x's over {0..x-1}, x = b-1.  (Position 0
+        # steps rows[0], the zero vector, into a row nothing reads.)
+        c = colors[pos - 1]
+        for i in ranks:
+            row[i] = prev[i] | (prev[i - 1] + c * add[i]) << shift[i]
+        if a:
+            cells = (part[-1] + top * row[-1]).to_bytes(nb, order)
+        else:
+            if pos:  # all of {0..x} is colored: rebuild x's inner parts, x = b-1
+                last, below, new, whole = inner[b - 2], outer[b - 2], inner[b - 1], outer[b - 1]
                 for i in ranks:
                     whole[i] = below[i] | last[i - 1] << shift[i]
-                    part[i] = whole[i] + k ** (i - 1) * row[i]
-        cells = (inner[a][-1] + top * rows[pos][-1]).to_bytes(nbytes[a], order)
+                    new[i] = whole[i] + k ** (i - 1) * row[i]
+            cells = bytes(nb)  # inner[0] is zero, and so is rows[pos] at a = 0
         if size == 1:
-            tests[pos] = cells.translate
+            test = cells.translate
         else:
-            values = memoryview(cells).cast("H" if size == 2 else "I").tolist()
+            values = memoryview(cells).cast(fmt).tolist()
             # A getter of one index returns a bare value; add an empty slice.
-            tests[pos] = (itemgetter(*values) if len(values) > 1
-                          else itemgetter(slice(0, 0), *values))
-        if pos < len(prefix):
-            low, lim[pos] = prefix[pos], prefix[pos] + 1
+            test = (itemgetter(*values) if len(values) > 1
+                    else itemgetter(slice(0, 0), *values))
+        if pos < pinned:
+            col = prefix[pos]
+            stop = col + 1
         else:
-            low, lim[pos] = 0, min(seen + 1, k)
+            col = 0
+            stop = seen + 1 if seen < k else k
         if vertex:
+            s = True  # same[pos], always True at a = 0
             if a:
-                same[pos] = same[pos - 1] and colors[pos - b] == colors[pos - 1]
+                s = same[pos - 1] and colors[pos - b] == c
+                same[pos] = s
                 if a + 1 == b:
-                    tied[pos] = same[pos - b]
+                    t = same[pos - b]
                 else:
-                    tied[pos] = tied[pos - b + 1] and colors[pos - b] == colors[pos - b + 1]
-                if tied[pos]:
-                    low = max(low, colors[pos - 1])
-            if a + 1 < b and same[pos]:
-                low = max(low, colors[pos - b + 1])
-        colors[pos] = low - 1
-        used[pos] = seen
-        test = tests[pos]
-        # Try the colors at pos, backing up a position when they run out.
+                    t = tied[pos - b + 1] and colors[pos - b] == colors[pos - b + 1]
+                tied[pos] = t
+                if t and c > col:
+                    col = c
+            if s and a + 1 < b and colors[pos - b + 1] > col:
+                col = colors[pos - b + 1]
+        state[pos] = (test, stop, seen)
+        # Try the colors at pos from col, backing up a position when they
+        # run out.
         while True:
-            col = colors[pos] + 1
-            if col >= lim[pos]:
+            if col >= stop:
                 if pos == 0:
                     kind = EXHAUSTED
                     break
                 pos -= 1
-                test = tests[pos]
+                test, stop, seen = state[pos]
+                col = colors[pos] + 1
                 continue
-            colors[pos] = col
             nodes += 1
             if nodes > budget:
                 kind = UNKNOWN
                 break
             if 1 in test(tables[col]):
                 prunes += 1
+                col += 1
             else:
-                seen = max(used[pos], col + 1)
+                colors[pos] = col
+                if col >= seen:
+                    seen = col + 1
                 pos += 1
                 break
     stats = SearchStats(nodes, prunes, time.perf_counter() - t0)

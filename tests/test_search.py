@@ -943,30 +943,58 @@ def test_budgeted_search_memory_follows_its_budget(search, expected):
     assert peak < 1 << 20
 
 
-def _panel_counts_digest(vertex):
+def _panel_counts_digest(vertex, panel=(
+    (3, 3, 2, 6, None), (5, 2, 2, 9, None), (6, 1, 2, 8, None), (3, 2, 3, 14, 3_000),
+)):
     """(kind, nodes, prunes, coloring) of every n searched by a panel of
-    ramsey_number calls, hashed."""
-    h = hashlib.sha256()
-    for m, kappa, k, n_max, budget in [
-        (3, 3, 2, 6, None), (5, 2, 2, 9, None), (6, 1, 2, 8, None), (3, 2, 3, 14, 3_000),
-    ]:
+    (m, kappa, k, n_max, budget) ramsey_number calls, hashed, and each
+    call's last (n, kind, nodes, prunes)."""
+    h, last = hashlib.sha256(), []
+    for m, kappa, k, n_max, budget in panel:
         result = ramsey_number(m, kappa, k, n_max, node_budget=budget, _vertex=vertex)
         for n, o in sorted(result.outcomes.items()):
             colors = None if o.coloring is None else o.coloring.colors
             row = (m, kappa, k, n, o.kind, o.stats.nodes, o.stats.forbidden_prunes, colors)
             h.update(repr(row).encode())
-    return h.hexdigest()[:16]
+        last.append(row[3:7])
+    return h.hexdigest()[:16], last
 
 
 def test_panel_counts_digest():
     # Pinned without the vertex floor from the search that checked each m-set by one
     # connectivity-table lookup per color: a change to how m-sets are
     # checked, or to the order they are read in, must keep it byte-identical.
-    assert _panel_counts_digest(False) == "65ab8300a6cde6e9"
+    assert _panel_counts_digest(False)[0] == "65ab8300a6cde6e9"
 
 
 def test_panel_counts_digest_with_the_floor():
-    assert _panel_counts_digest(True) == "7efa2d80e0660ca5"
+    assert _panel_counts_digest(True)[0] == "7efa2d80e0660ca5"
+
+
+def test_bench_panel_sweeps_are_pinned():
+    # The budgeted sweeps the benchmark's search panel times, with the
+    # floor, at the budgets it runs them: each ends unknown.
+    digest, last = _panel_counts_digest(True, panel=(
+        (3, 2, 3, 14, 60_000), (4, 2, 3, 12, 42_000), (5, 1, 3, 9, 4_000),
+    ))
+    assert last == [
+        (12, UNKNOWN, 60001, 38760), (11, UNKNOWN, 42001, 27297), (9, UNKNOWN, 4001, 2246),
+    ]
+    assert digest == "85e4b0b100851ab9"
+
+
+def test_a_range_the_floor_empties_backs_up_without_a_node():
+    # Under the prefix (1, 0), pair (0, 2) has floor 1 (rows 1 and 2 agree
+    # on the no columns before column 0, so row 1's entry there, color 1,
+    # bounds row 2's) but its pinned color is 0: the range is empty, the
+    # loop backs up to (0, 1), whose one color is spent, and ends after the
+    # single node at position 0.  Without the floor, color 0 is tried there.
+    got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
+           for o in _backtrack(4, 3, 2, 2, None, prefix=(1, 0))]
+    assert got == [(4, EXHAUSTED, 1, 0)]
+    got = [(o.n, o.kind, o.stats.nodes, o.stats.forbidden_prunes)
+           for o in _backtrack(4, 3, 2, 2, None, prefix=(1, 0), vertex=False)]
+    assert got == [(4, AVOIDING, 7, 1)]
 
 
 # (m, kappa, k, n_max, budget): unknown in the middle of a sweep and at its
