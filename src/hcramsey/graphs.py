@@ -228,7 +228,8 @@ def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
     return found, common, matched
 
 
-def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
+def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None,
+                        short=None):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
 
     Unit-capacity flow on the vertex-split digraph (vin(v) = 2v,
@@ -236,7 +237,8 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None)
     returns (value, paths, separator) where paths are vertex tuples and
     the separator is a minimum vertex cut disjoint from {s, t}.  Once the
     flow reaches `cap` it returns (cap, (), frozenset()) at once: the
-    caller only needs to know the value is not below it.
+    caller only needs to know the value is not below it.  `short` is
+    _short_paths(arcs, s, t, cap) when the caller has it already.
 
     The flow augments along the first shortest residual path its BFS
     finds, taking nodes lowest first.  Its first rounds are applied
@@ -266,7 +268,9 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None)
     # The seed: a saturated v keeps one arc out of vin(v), back to its
     # predecessor, and opens vout(v) -> vin(v); vin(t) gains the reverse
     # arc of the last edge.
-    flow, common, matched = _short_paths(arcs, s, t, cap)
+    if short is None:
+        short = _short_paths(arcs, s, t, cap)
+    flow, common, matched = short
     if cap is not None and flow >= cap:
         return cap, (), frozenset()
     while common:
@@ -362,7 +366,8 @@ def _connectivity_certificate(n: int, mask: int):
         matching of edges ab from N(s) - N(t) into N(t) - N(s), give
         internally disjoint paths s-c-t and s-a-b-t (_short_paths), so a
         pair with at least b of them is passed over without a flow.  The
-        flow of any other pair starts from the same paths.
+        flow of any other pair starts from the same paths, handed to it
+        rather than found again.
       - Any other pair's flow stops once it reaches b.
     A pair of smaller value runs its flow in full, so the pair, paths and
     separator returned are those of the scan without the skips.
@@ -391,13 +396,15 @@ def _connectivity_certificate(n: int, mask: int):
             bit = gaps & -gaps
             gaps ^= bit
             t = bit.bit_length() - 1
-            cap = None if best is None else best[0]
-            if cap is not None:
+            cap = short = None
+            if best is not None:
+                cap = best[0]
                 if s >= cap:
                     return best
-                if _short_paths(arcs, s, t, cap)[0] >= cap:
+                short = _short_paths(arcs, s, t, cap)
+                if short[0] >= cap:
                     continue
-            value, paths, separator = _max_disjoint_paths(arcs, s, t, cap)
+            value, paths, separator = _max_disjoint_paths(arcs, s, t, cap, short)
             if value == cap:
                 continue
             best = (value, (s, t), paths, separator)

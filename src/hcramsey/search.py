@@ -19,7 +19,6 @@ from .graphs import (
     connectivity_table,
     is_kappa_connected_mask,
     pair_rows,
-    star_masks,
 )
 
 ENUMERATION_LIMIT = 1 << 16  # most colorings k^C(n,2) one enumeration may yield
@@ -154,25 +153,26 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     monochromatic kappa-connected subgraph of the stated size, or None
     (always when m > n: no m-set exists).
 
-    "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  Each
-    subset's colors are read once, into one edge mask per color; the pair
-    (u, v) of K_n sits at row[u] + v in c.colors, row = pair_rows(n).  A
+    "exact" looks only at size-m sets; "atLeast" sweeps sizes m..n.  A
     kappa-connected graph on s vertices is complete (degree s-1) or has
-    minimum degree >= kappa, so a color class with a vertex of degree below
-    need = min(kappa, s-1) is rejected without a connectivity decision; on
-    at most kappa+1 vertices the bound is exact (only complete classes
-    pass).  Minimum degree need implies at least ceil(need * s / 2) edges,
-    so a class with fewer is rejected first, by one bit count: exactly the
-    same classes pass.  A negative kappa raises ValueError.
+    minimum degree >= kappa, so only a color class in which every vertex
+    has need = min(kappa, s-1) neighbours inside the set gets a
+    connectivity decision; on at most kappa+1 vertices the bound is exact
+    (only complete classes pass).  _passing_sets lists exactly those
+    (set, color) pairs, in the order above, so the witness, its verdict
+    and the sequence of is_kappa_connected_mask calls are those of a scan
+    of every subset.  Each listed set's colors are read once, and each
+    listed class goes to the flow certificate as its edge mask (bit i the
+    i-th pair in lexicographic order); the pair (u, v) of K_n sits at
+    row[u] + v in c.colors, row = pair_rows(n).  A negative kappa raises
+    ValueError.
 
-    Only live vertices are enumerated: those in the need-core of some
-    color's class in K_n, what is left after repeatedly deleting vertices
-    with fewer than need neighbours of that color.  A witness in color xi
-    on S has minimum degree need inside S, so S lies in xi's need-core.
-    Subsets of the sorted live vertices keep their lexicographic order, so
-    the first witness is unchanged.  need never drops as the size grows,
-    so the live set never grows, and the sweep stops at the first size
-    above it.
+    Each color's search starts from its need-core in K_n: what is left
+    after repeatedly deleting vertices with fewer than need neighbours of
+    that color.  A witness in color xi on S has minimum degree need inside
+    S, so S lies in xi's need-core.  need never drops as the size grows,
+    so no core grows, and the sweep stops at the first size above every
+    core.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
@@ -190,51 +190,118 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
         nbrs[xi][u] |= 1 << v
         nbrs[xi][v] |= 1 << u
     sizes = [m] if mode == "exact" else range(m, n + 1)
-    live_need = None
+    core_need = None
     for size in sizes:
         need = min(kappa, size - 1)
-        if need != live_need:
-            live_need, live = need, _live_vertices(nbrs, n, need)
-        if size > len(live):
+        if need != core_need:
+            core_need, cores = need, [_core(adj, n, need) for adj in nbrs]
+        if all(core.bit_count() < size for core in cores):
             break
-        least = (need * size + 1) // 2
-        stars = star_masks(size)
-        for subset in itertools.combinations(live, size):
-            masks = [0] * c.k
-            for i, (u, v) in enumerate(itertools.combinations(subset, 2)):
-                masks[colors[row[u] + v]] |= 1 << i
-            for xi, mask in enumerate(masks):
-                if mask.bit_count() < least:
-                    continue
-                if any((mask & star).bit_count() < need for star in stars):
-                    continue
+        for subset, passing in _passing_sets(nbrs, cores, size, need):
+            pairs = [colors[row[u] + v] for u, v in itertools.combinations(subset, 2)]
+            for xi in passing:
+                mask = sum(1 << i for i, pc in enumerate(pairs) if pc == xi)
                 ok, verdict = is_kappa_connected_mask(size, mask, kappa)
                 if ok:
                     return ArrowWitness(xi, subset, verdict)
     return None
 
 
-def _live_vertices(nbrs, n, need):
-    """The vertices, ascending, in the need-core of some color's class,
-    where nbrs[xi][v] is v's neighbour mask in color xi: each core is
-    peeled with a worklist of the vertices whose degree fell below need."""
-    live = 0
-    for adj in nbrs:
-        deg = [a.bit_count() for a in adj]
-        low = [v for v in range(n) if deg[v] < need]
-        core = (1 << n) - 1 - sum(1 << v for v in low)
-        while low:
-            rest = adj[low.pop()] & core
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                u = bit.bit_length() - 1
-                deg[u] -= 1
-                if deg[u] < need:
-                    core ^= bit
-                    low.append(u)
-        live |= core
-    return [v for v in range(n) if live >> v & 1]
+def _core(adj, n, need):
+    """The need-core of the graph whose vertex v has neighbour mask
+    adj[v], as a vertex mask: peeled with a worklist of the vertices whose
+    degree fell below need."""
+    deg = [a.bit_count() for a in adj]
+    low = [v for v in range(n) if deg[v] < need]
+    core = (1 << n) - 1 - sum(1 << v for v in low)
+    while low:
+        rest = adj[low.pop()] & core
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            deg[u] -= 1
+            if deg[u] < need:
+                core ^= bit
+                low.append(u)
+    return core
+
+
+def _passing_sets(nbrs, cores, size, need):
+    """Every size-set S, in lexicographic order, that has a color xi with
+    minimum degree >= need inside S, as (S, those colors ascending);
+    nbrs[xi][v] is v's neighbour mask in color xi, and color xi draws S
+    from cores[xi].
+
+    One depth-first search that picks vertices ascending, so sets come in
+    lexicographic order.  At a prefix P with r picks still to make, each
+    color in play keeps its candidates, the vertices above P that may be
+    picked next, and at[j], the vertices with at least j neighbours in P
+    (j = 1..need; at[0] is every vertex, as -1).  Every u in P has
+    deg_P(u) >= need - r, since only the r picks to come can add to it.
+    The candidates are cut to:
+      - the vertices w with deg_P(w) >= need - r + 1: after w come only
+        r - 1 picks;
+      - the neighbours of each tight u in P, one with deg_P(u) exactly
+        need - r: each pick to come must add to it.
+    Picking a candidate keeps the bound, w's own included, so a set
+    completed this way passes, and no cut drops a vertex that a passing
+    completion of P picks next.  A color with fewer candidates than picks
+    left drops out, and a prefix with no color in play is not extended.
+    After picking w, at[t] with t = need - r + 2 is the next bound; the
+    newly tight are w, if it is not in at[t], and the u in P with exactly
+    t - 1 neighbours in P that w does not join.  Those tight before stay
+    tight, and the candidates are already cut to their neighbours.
+    """
+    root = [(xi, core, [-1] + [0] * need)
+            for xi, core in enumerate(cores) if core.bit_count() >= size]
+    todo = 0
+    for _, core, _ in root:
+        todo |= core
+    # stack[d]: for the prefix of length d, the colors in play, the
+    # vertices still to try as its next pick, the picks left after that
+    # one and the prefix as a vertex mask.
+    prefix, stack = [], [[root, todo, size - 1, 0]]
+    while stack:
+        frame = stack[-1]
+        alive, todo, left, pmask = frame
+        if not todo:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        bit = todo & -todo
+        frame[1] = todo ^ bit
+        w = bit.bit_length() - 1
+        if not left:
+            yield (*prefix, w), [xi for xi, cand, _ in alive if cand & bit]
+            continue
+        t = need - left + 1  # a candidate after w needs t neighbours in P + w
+        after = -(bit << 1)
+        children, todo = [], 0
+        for xi, cand, at in alive:
+            if not cand & bit:
+                continue
+            adj = nbrs[xi][w]
+            cand &= after
+            if t > 0:
+                keep = at[t] | at[t - 1] & adj
+                cand &= keep
+                if not keep & bit:  # w is tight
+                    cand &= adj
+                tight = pmask & ~keep & at[t - 1]  # the u in P newly tight
+                while tight:
+                    low = tight & -tight
+                    tight ^= low
+                    cand &= nbrs[xi][low.bit_length() - 1]
+            if cand.bit_count() >= left:
+                if left > 1:  # the next pick is not the last: at moves on
+                    at = [-1] + [a | b & adj for a, b in zip(at[1:], at)]
+                children.append((xi, cand, at))
+                todo |= cand
+        if children:
+            prefix.append(w)
+            stack.append([children, todo, left - 1, pmask | bit])
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +445,8 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     t0 = time.perf_counter()
     j = n if start is None else start
     goal = j * (j - 1) // 2  # the position at which K_j is read off, C(j, 2)
-    budget = float("inf") if node_budget is None else node_budget
+    # No budget: an int bound no search reaches, so each node compares two ints.
+    budget = sys.maxsize if node_budget is None else node_budget
     span = k ** (m * (m - 1) // 2 - 1)  # W, the values a cell can hold
     size = 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4
     bits, fmt = 8 * size, "H" if size == 2 else "I"

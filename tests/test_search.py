@@ -293,7 +293,7 @@ class TestArrowCheckLiveSet:
         # Every color class is a tree, whose 2-core is empty.
         c = forest_partition_coloring(n)
         calls = []
-        monkeypatch.setattr(search_module, "star_masks", lambda size: calls.append(size))
+        monkeypatch.setattr(search_module, "_passing_sets", lambda *args: calls.append(args))
         for mode in ("exact", "atLeast"):
             assert arrow_check(c, 2, 3, mode) is None
         assert calls == []
@@ -345,10 +345,143 @@ class TestArrowCheckLiveSet:
                 raise AssertionError(f"{name} called")
             return stand_in
 
-        for name in ("star_masks", "is_kappa_connected_mask"):
+        for name in ("_passing_sets", "is_kappa_connected_mask"):
             monkeypatch.setattr(search_module, name, counted(name))
         assert arrow_check(forest_partition_coloring(200), 2, 3, "atLeast") is None
         assert calls == []
+
+
+def _scan_first_witness(c, kappa, m, mode, decide):
+    """The subset scan arrow_check replaced, kept as separate code: every
+    size-set of the live vertices (those in some color's min(kappa,
+    size-1)-core) in lexicographic order, its colors read into one edge
+    mask each, a class kept only when it has enough edges and every
+    vertex has enough neighbours in it, then decide(size, mask, kappa)
+    per kept class, colors ascending.  Returns (color, subset, verdict)
+    of the first class decide accepts, or None."""
+    n, colors = c.n, c.colors
+    if m > n:
+        return None
+    index = {p: i for i, p in enumerate(all_pairs(n))}
+    nbrs = [[0] * n for _ in range(c.k)]
+    for (u, v), xi in zip(all_pairs(n), colors):
+        nbrs[xi][u] |= 1 << v
+        nbrs[xi][v] |= 1 << u
+    sizes = [m] if mode == "exact" else range(m, n + 1)
+    for size in sizes:
+        need = min(kappa, size - 1)
+        live = set()
+        for adj in nbrs:
+            core = set(range(n))
+            while True:
+                low = {v for v in core if sum(adj[v] >> u & 1 for u in core) < need}
+                if not low:
+                    break
+                core -= low
+            live |= core
+        if size > len(live):
+            break
+        least = (need * size + 1) // 2
+        stars = star_masks(size)
+        for subset in itertools.combinations(sorted(live), size):
+            masks = [0] * c.k
+            for i, (u, v) in enumerate(itertools.combinations(subset, 2)):
+                masks[colors[index[u, v]]] |= 1 << i
+            for xi, mask in enumerate(masks):
+                if mask.bit_count() < least:
+                    continue
+                if any((mask & star).bit_count() < need for star in stars):
+                    continue
+                ok, verdict = decide(size, mask, kappa)
+                if ok:
+                    return xi, subset, verdict
+    return None
+
+
+def _recorder(calls, decide=is_kappa_connected_mask):
+    """decide, logging the arguments of every call."""
+    def logged(*args):
+        calls.append(args)
+        return decide(*args)
+    return logged
+
+
+def _refuse(*args):
+    return False, None
+
+
+def _assert_matches_scan(c, kappa, m, mode, monkeypatch, decide=is_kappa_connected_mask):
+    """arrow_check's witness, verdict and decide calls equal the scan's;
+    returns the witness and the calls."""
+    got, want = [], []
+    monkeypatch.setattr(search_module, "is_kappa_connected_mask", _recorder(got, decide))
+    w = arrow_check(c, kappa, m, mode)
+    monkeypatch.undo()
+    found = None if w is None else (w.color, w.vertices, w.verdict)
+    assert found == _scan_first_witness(c, kappa, m, mode, _recorder(want, decide)), (
+        c, kappa, m, mode)
+    assert got == want, (c, kappa, m, mode)
+    return w, got
+
+
+def test_arrow_check_matches_the_subset_scan(monkeypatch):
+    rng = random.Random(2718)
+    refused = witnesses = misses = leaves = 0
+    for _ in range(1500):
+        n, k = rng.randrange(1, 12), rng.randrange(1, 5)
+        c = EdgeColoring(n, k, tuple(rng.randrange(k) for _ in all_pairs(n)))
+        m = rng.randrange(1, 8)
+        kappa = rng.randrange(m + 1)
+        for mode in ("exact", "atLeast"):
+            w, calls = _assert_matches_scan(c, kappa, m, mode, monkeypatch)
+            refused += sum(not is_kappa_connected_mask(*args)[0] for args in calls)
+            witnesses += w is not None
+            misses += w is None
+        # With every class turned down, both list every class that passes
+        # the degree bound.
+        leaves += len(_assert_matches_scan(c, kappa, m, "exact", monkeypatch, _refuse)[1])
+    assert refused > 20 and witnesses > 1000 and misses > 1000 and leaves > 50000
+
+
+def _paley_17():
+    """Pairs whose difference is a nonzero square mod 17 get color 0."""
+    squares = {x * x % 17 for x in range(1, 17)}
+    return EdgeColoring(17, 2, tuple(int((b - a) % 17 not in squares) for a, b in all_pairs(17)))
+
+
+def _greenwood_gleason():
+    """K_16 on GF(16) = GF(2)[x] / (x^4 + x + 1): the pair {a, b} gets the
+    discrete log of a + b (base x) mod 3."""
+    log, power = {}, 1
+    for e in range(15):
+        log[power] = e
+        power <<= 1
+        if power & 16:
+            power ^= 0b10011
+    return EdgeColoring(16, 3, tuple(log[a ^ b] % 3 for a, b in all_pairs(16)))
+
+
+def _circulant(n, k, diff_colors):
+    """The pair {a, b} gets diff_colors[d - 1], d = min(|a-b|, n-|a-b|)."""
+    return EdgeColoring(n, k, tuple(
+        diff_colors[min(b - a, n - b + a) - 1] for a, b in all_pairs(n)
+    ))
+
+
+@pytest.mark.parametrize("c, kappa, m", [
+    # R(4,4) = 18: Paley(17) has no monochromatic K_4.
+    (_paley_17(), 3, 4),
+    # R(3,3,3) = 17: neither has a monochromatic triangle.
+    (_greenwood_gleason(), 2, 3),
+    (_circulant(14, 3, (0, 1, 1, 0, 2, 2, 0)), 2, 3),
+], ids=["paley17", "greenwood-gleason16", "circulant14"])
+def test_structured_colorings_avoid(c, kappa, m, monkeypatch):
+    w, _ = _assert_matches_scan(c, kappa, m, "exact", monkeypatch)
+    assert w is None
+    # Larger sets have more room: each has a kappa-connected class on
+    # m + 1 vertices.
+    w, _ = _assert_matches_scan(c, kappa, m, "atLeast", monkeypatch)
+    assert len(w.vertices) == m + 1
 
 
 def test_arrow_check_witness_digest_is_stable():
