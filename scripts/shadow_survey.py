@@ -27,7 +27,7 @@ from hcramsey.colorings import (
     forest_partition_coloring,
     sierpinski_coloring,
 )
-from hcramsey.graphs import all_pairs, induced_color_graph, is_forest
+from hcramsey.graphs import induced_color_graph, is_forest
 from hcramsey.search import arrow_check
 
 
@@ -65,11 +65,12 @@ def main(argv=None) -> int:
         c = forest_partition_coloring(n)
         classes = [induced_color_graph(c, xi, range(n)).graph for xi in range(c.k)]
         forests = all(is_forest(g) for g in classes)
-        covered = set()
+        npairs = n * (n - 1) // 2
+        covered = 0
         for g in classes:
-            covered |= g.edges
-        partition = covered == set(all_pairs(n)) and (
-            sum(len(g.edges) for g in classes) == len(covered)
+            covered |= g.mask
+        partition = covered == (1 << npairs) - 1 and (
+            sum(g.mask.bit_count() for g in classes) == npairs
         )
         clean = arrow_check(c, 2, 3) is None
         dirty |= not (forests and partition and clean)

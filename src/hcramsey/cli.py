@@ -28,7 +28,6 @@ from .colorings import (
 )
 from .graphs import (
     InputFormatError,
-    is_connected,
     is_kappa_connected,
     parse_graph_text,
     vertex_connectivity,
@@ -133,8 +132,8 @@ def cmd_connectivity(args):
             "paths": [list(p) for p in verdict.paths],
         }
     else:
-        connected = is_connected(g)
         kappa = vertex_connectivity(g) if g.n > 0 else 0
+        connected = kappa >= 1 or g.n <= 1
         print(f"connected: {connected}")
         print(f"vertex_connectivity: {kappa}")
         outcome = {"connected": connected, "vertex_connectivity": kappa}

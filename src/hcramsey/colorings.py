@@ -209,7 +209,7 @@ def common_neighbor_certify(c: EdgeColoring, vertices, i: int, kappa: int) -> bo
     g = induced_color_graph(c, i, vertices).graph
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
-    adj = _adj_masks(g)
+    adj = _adj_masks(g.n, g.mask)
     pairs = itertools.combinations(range(g.n), 2)
     return all((adj[a] & adj[b]).bit_count() >= kappa for a, b in pairs)
 

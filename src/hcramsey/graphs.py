@@ -10,7 +10,7 @@ kappa-connected for every kappa.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -91,37 +91,63 @@ def star_masks(n: int) -> list[int]:
     return [sum(1 << i for i, p in enumerate(pairs) if v in p) for v in range(n)]
 
 
-@dataclass(frozen=True, slots=True)
+def _bits_mask(bits) -> int:
+    """The int whose set bits are `bits`, built in one buffer the size of
+    the result: ORing bits into a growing int takes quadratic time."""
+    buf = bytearray(max(bits, default=-1) // 8 + 1)
+    for i in bits:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _mask_pairs(n: int, mask: int):
+    """The pairs (u, v), u < v, of an edge mask in lexicographic order,
+    read one row at a time: row u holds the pairs (u, v) as bit v - u - 1."""
+    for u in range(n - 1):
+        if not mask:
+            return
+        row = mask & (1 << n - u - 1) - 1
+        mask >>= n - u - 1
+        while row:
+            bit = row & -row
+            row ^= bit
+            yield u, u + bit.bit_length()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1, held as its edge mask:
+    bit i is set when the i-th pair in lexicographic order is an edge."""
 
     n: int
-    edges: frozenset
-    mask: int = field(init=False, compare=False, repr=False)  # bit i: i-th lex pair
+    mask: int
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, edges):
+        if n < 0:
             raise ValueError("negative vertex count")
-        object.__setattr__(self, "edges", frozenset(map(tuple, self.edges)))
-        mask = 0
-        for u, v in self.edges:
-            mask |= 1 << pair_index(self.n, u, v)  # raises unless 0 <= u < v < n
-        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n", n)
+        # pair_index refuses a pair unless 0 <= u < v < n.
+        object.__setattr__(self, "mask", _bits_mask([pair_index(n, u, v) for u, v in edges]))
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
-        return cls(n, frozenset(pair_key(u, v) for u, v in edges))
+        return cls(n, (pair_key(u, v) for u, v in edges))
 
     @classmethod
     def from_mask(cls, n, mask) -> "Graph":
         """The graph on n vertices whose edges are the set bits of mask."""
-        if not 0 <= mask < 1 << n * (n - 1) // 2:
+        if n < 0:
+            raise ValueError("negative vertex count")
+        if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
             raise ValueError(f"bad edge mask {mask} for n={n}")
-        return cls(n, frozenset(p for i, p in enumerate(all_pairs(n)) if mask >> i & 1))
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "mask", mask)
+        return g
 
     @classmethod
     def complete(cls, n) -> "Graph":
-        return cls(n, frozenset(all_pairs(n)))
+        return cls.from_mask(n, (1 << n * (n - 1) // 2) - 1)
 
     @classmethod
     def path(cls, n) -> "Graph":
@@ -133,8 +159,12 @@ class Graph:
             raise ValueError("cycle needs at least 3 vertices")
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
+    @property
+    def edges(self) -> frozenset:
+        return frozenset(_mask_pairs(self.n, self.mask))
+
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return self.mask.bit_count() == self.n * (self.n - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -195,7 +225,7 @@ class InducedSubgraph(NamedTuple):
 def is_connected(g: Graph) -> bool:
     """True iff g has at most one connected component (n <= 1 is connected)."""
     full = (1 << g.n) - 1
-    return _mask_component(_adj_masks(g), full) == full
+    return _mask_component(_adj_masks(g.n, g.mask), full) == full
 
 
 def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
@@ -455,9 +485,11 @@ def is_highly_connected(g: Graph) -> bool:
 # Brute-force oracle (bitmask internals for speed)
 
 
-def _adj_masks(g: Graph) -> list[int]:
-    adj = [0] * g.n
-    for u, v in g.edges:
+def _adj_masks(n: int, mask: int) -> list[int]:
+    """adj[v] = vertex mask of v's neighbours in the graph on n vertices
+    with edge mask `mask`."""
+    adj = [0] * n
+    for u, v in _mask_pairs(n, mask):
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
@@ -498,7 +530,7 @@ def brute_force_kappa(g: Graph) -> int:
     Returns n for complete graphs (deletion semantics)."""
     if g.n > ORACLE_SIZE_LIMIT:
         raise ValueError("oracle size limit")
-    adj = _adj_masks(g)
+    adj = _adj_masks(g.n, g.mask)
     for size, remaining in _deletion_sets(g.n):
         if _mask_component(adj, remaining) != remaining:
             return size
@@ -592,13 +624,13 @@ def connectivity_table(m: int) -> bytes:
 
 def is_forest(g: Graph) -> bool:
     """True iff g is acyclic: |E| = n - #components."""
-    adj = _adj_masks(g)
+    adj = _adj_masks(g.n, g.mask)
     components = 0
     left = (1 << g.n) - 1
     while left:
         left &= ~_mask_component(adj, left)
         components += 1
-    return len(g.edges) == g.n - components
+    return g.mask.bit_count() == g.n - components
 
 
 def induced_color_graph(c: EdgeColoring, xi: int, vertices) -> InducedSubgraph:
@@ -619,8 +651,8 @@ def induced_color_graph(c: EdgeColoring, xi: int, vertices) -> InducedSubgraph:
 
 
 def format_graph_text(g: Graph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines = [f"{g.n} {g.mask.bit_count()}"]
+    lines.extend(f"{u} {v}" for u, v in _mask_pairs(g.n, g.mask))
     return "\n".join(lines) + "\n"
 
 
@@ -628,11 +660,12 @@ def parse_graph_text(text: str) -> Graph:
     (n, m), records = read_records(text, "n m", "u v")
     if len(records) != m:
         raise InputFormatError(f"expected {m} edge lines, found {len(records)}")
-    edges = set()
+    row, bits = pair_rows(n), set()
     for i, (u, v) in records:
         if not 0 <= u < v < n:
             raise InputFormatError(f"line {i}: edge ({u}, {v}) out of range")
-        if (u, v) in edges:
+        bit = row[u] + v
+        if bit in bits:
             raise InputFormatError(f"line {i}: duplicate edge ({u}, {v})")
-        edges.add((u, v))
-    return Graph(n, frozenset(edges))
+        bits.add(bit)
+    return Graph.from_mask(n, _bits_mask(bits))

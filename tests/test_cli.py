@@ -9,9 +9,9 @@ import pytest
 from hcramsey import cli
 from hcramsey.cli import DEFAULT_SEED, main, outcome_digest
 from hcramsey.colorings import format_coloring_text, parse_coloring_text
-from hcramsey.graphs import Graph, format_graph_text
+from hcramsey.graphs import Graph, format_graph_text, is_connected, vertex_connectivity
 
-from conftest import two_pentagons_coloring
+from conftest import graphs_on, two_pentagons_coloring
 
 
 def run(tmp_path, *args):
@@ -475,6 +475,21 @@ def test_connectivity_without_kappa_prints_the_connectivity(tmp_path, capsys):
     assert capsys.readouterr().out == "connected: True\nvertex_connectivity: 4\n"
     (manifest,) = manifests(store)
     assert manifest["outcome"] == {"connected": True, "vertex_connectivity": 4}
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_connectivity_without_kappa_agrees_with_the_bfs_oracle(tmp_path, capsys, n):
+    # `connected:` is read off the connectivity value; is_connected is the
+    # separate BFS.  n = 0 prints vertex_connectivity 0.
+    graph_file = tmp_path / "g.txt"
+    for g in graphs_on(n):
+        graph_file.write_text(format_graph_text(g))
+        code, _ = run(tmp_path, "connectivity", str(graph_file))
+        assert code == 0
+        kappa = vertex_connectivity(g) if n else 0
+        assert capsys.readouterr().out == (
+            f"connected: {is_connected(g)}\nvertex_connectivity: {kappa}\n"
+        ), g
 
 
 def test_connectivity_with_kappa_prints_the_paths(tmp_path, capsys):

@@ -43,24 +43,39 @@ class TestEdgeMask:
     @pytest.mark.parametrize("n", range(6))
     def test_every_graph_has_its_lex_mask_and_round_trips(self, n):
         # Graphs built from edge sets, by size, not from masks: bit i of the
-        # mask is set exactly when the i-th lexicographic pair is an edge.
+        # mask is set exactly when the i-th lexicographic pair is an input
+        # edge, the derived edge set is the input, and _adj_masks matches a
+        # neighbour table built here from the input pairs.
         pairs = all_pairs(n)
         masks = set()
         for size in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, size):
                 g = Graph(n, frozenset(edges))
                 assert [g.mask >> i & 1 for i in range(len(pairs))] == [
-                    p in g.edges for p in pairs
+                    p in edges for p in pairs
                 ]
                 assert g.mask >> len(pairs) == 0
+                assert g.edges == frozenset(edges)
+                adj = [0] * n
+                for u, v in edges:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+                assert graphs_module._adj_masks(n, g.mask) == adj
                 assert Graph.from_mask(n, g.mask) == g
                 masks.add(g.mask)
         assert len(masks) == 1 << len(pairs)
 
-    def test_mask_is_not_compared_or_shown(self):
+    def test_equality_and_repr_come_from_n_and_mask(self):
         g = Graph.path(3)
-        assert repr(g) == f"Graph(n=3, edges={g.edges!r})"
+        assert repr(g) == "Graph(n=3, mask=5)"
         assert g == Graph(3, frozenset({(1, 2), (0, 1)}))
+        assert g != Graph(4, frozenset({(1, 2), (0, 1)}))
+
+    def test_a_large_edgeless_graph_builds_no_pair_sized_buffer(self):
+        # C(10**5, 2) bits would be 625 MB: both builders stay at mask 0.
+        assert Graph(10**5, ()).mask == 0
+        assert parse_graph_text("100000 0\n").mask == 0
+        assert Graph.from_mask(10**5, 0).edges == frozenset()
 
     def test_from_mask_rejects_bits_beyond_the_pairs(self):
         with pytest.raises(ValueError, match="bad edge mask"):
@@ -85,6 +100,9 @@ def test_pair_rows_read_the_pair_index(n):
 def test_graph_refusals(n, edges, message):
     with pytest.raises(ValueError, match=message):
         Graph(n, frozenset(edges))
+    if not edges:
+        with pytest.raises(ValueError, match=message):
+            Graph.from_mask(n, 0)
 
 
 def test_cycle_needs_three_vertices():
@@ -613,8 +631,15 @@ class TestGraphTextFormat:
             ("\n\n3 2 1\n0 1\n1 2\n", "line 3: expected 'n m'"),
             ("3 2\n0 1\n\n0 1\n", "line 4: duplicate edge (0, 1)"),
             ("3 1\n\n2 1\n", "line 3: edge (2, 1) out of range"),
+            # The first bad line in file order is named.
+            ("4 3\n0 1\n0 1\n2 9\n", "line 3: duplicate edge (0, 1)"),
+            ("4 3\n0 1\n2 9\n0 1\n", "line 3: edge (2, 9) out of range"),
         ],
     )
     def test_error_names_the_line_of_the_text(self, text, message):
         with pytest.raises(InputFormatError, match=re.escape(message)):
             parse_graph_text(text)
+
+    def test_edges_are_written_in_mask_order(self):
+        g = Graph.from_edges(4, [(2, 3), (1, 0), (0, 3), (1, 2)])
+        assert format_graph_text(g) == "4 4\n0 1\n0 3\n1 2\n2 3\n"
