@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .graphs import (
@@ -20,24 +19,33 @@ from .graphs import (
 DELTA_MINER_SIZE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class BitstringFamily:
+class _BitstringFamilyFields(NamedTuple):
+    length: int
+    strings: tuple
+
+
+class BitstringFamily(_BitstringFamilyFields):
     """Pairwise-distinct binary strings of one length; the index order
     stands in for the enumeration order of the family and need not be
     lexicographic."""
 
-    length: int
-    strings: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"need length >= 0, got {self.length}")
-        object.__setattr__(self, "strings", tuple(self.strings))
-        for s in self.strings:
-            if len(s) != self.length or any(ch not in "01" for ch in s):
-                raise ValueError(f"bad bitstring {s!r} for length {self.length}")
-        if len(set(self.strings)) != len(self.strings):
+    def __new__(cls, length, strings):
+        if length < 0:
+            raise ValueError(f"need length >= 0, got {length}")
+        strings = tuple(strings)
+        for s in strings:
+            if len(s) != length or any(ch not in "01" for ch in s):
+                raise ValueError(f"bad bitstring {s!r} for length {length}")
+        if len(set(strings)) != len(strings):
             raise ValueError("duplicate strings in family")
+        return tuple.__new__(cls, (length, strings))
+
+    @classmethod
+    def _make(cls, fields) -> "BitstringFamily":
+        """_replace builds through here, so it checks like the constructor."""
+        return cls(*fields)
 
     @classmethod
     def full(cls, length) -> "BitstringFamily":
@@ -218,8 +226,7 @@ def common_neighbor_certify(c: EdgeColoring, vertices, i: int, kappa: int) -> bo
 # Two-dimensional Delta-system miner
 
 
-@dataclass(frozen=True)
-class DeltaSystemReport:
+class DeltaSystemReport(NamedTuple):
     """Witness that an index set B exhibits the row/column sunflower
     structure.  Roots are None where the witnessing family has fewer than
     two members (any root works there; such roots are treated as empty in

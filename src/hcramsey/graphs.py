@@ -10,7 +10,6 @@ kappa-connected for every kappa.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -81,7 +80,7 @@ def pair_rows(n: int) -> list[int]:
     """Row offsets of lexicographic pair order: the pair (u, v), u < v, sits
     at row[u] + v.  The one reader of a sorted subset's pairs, whose i-th
     pair is bit i of its edge mask (the connectivity-table layout)."""
-    return [pair_index(n, u, u + 1) - u - 1 for u in range(n - 1)]
+    return [u * (2 * n - u - 3) // 2 - 1 for u in range(n - 1)]
 
 
 def star_masks(n: int) -> list[int]:
@@ -114,20 +113,31 @@ def _mask_pairs(n: int, mask: int):
             yield u, u + bit.bit_length()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Graph:
-    """Simple undirected graph on vertices 0..n-1, held as its edge mask:
-    bit i is set when the i-th pair in lexicographic order is an edge."""
-
+class _GraphFields(NamedTuple):
     n: int
     mask: int
 
-    def __init__(self, n, edges):
+
+class Graph(_GraphFields):
+    """Simple undirected graph on vertices 0..n-1, held as its edge mask:
+    bit i is set when the i-th pair in lexicographic order is an edge."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, edges):
         if n < 0:
             raise ValueError("negative vertex count")
-        object.__setattr__(self, "n", n)
         # pair_index refuses a pair unless 0 <= u < v < n.
-        object.__setattr__(self, "mask", _bits_mask([pair_index(n, u, v) for u, v in edges]))
+        return tuple.__new__(cls, (n, _bits_mask([pair_index(n, u, v) for u, v in edges])))
+
+    @classmethod
+    def _make(cls, fields) -> "Graph":
+        """The graph (n, mask); _replace builds through here, so it refuses
+        what from_mask refuses."""
+        return cls.from_mask(*fields)
+
+    def __reduce__(self):  # copy and pickle: the constructor takes edges
+        return self.from_mask, tuple(self)
 
     @classmethod
     def from_edges(cls, n, edges) -> "Graph":
@@ -140,10 +150,7 @@ class Graph:
             raise ValueError("negative vertex count")
         if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
             raise ValueError(f"bad edge mask {mask} for n={n}")
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "mask", mask)
-        return g
+        return tuple.__new__(cls, (n, mask))
 
     @classmethod
     def complete(cls, n) -> "Graph":
@@ -167,8 +174,7 @@ class Graph:
         return self.mask.bit_count() == self.n * (self.n - 1) // 2
 
 
-@dataclass(frozen=True)
-class ConnectivityVerdict:
+class ConnectivityVerdict(NamedTuple):
     """Menger-style certificate: disjoint paths for a distinguished pair,
     or a separating vertex set."""
 
@@ -178,31 +184,38 @@ class ConnectivityVerdict:
     separator: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class _EdgeColoringFields(NamedTuple):
+    n: int
+    k: int
+    colors: tuple
+
+
+class EdgeColoring(_EdgeColoringFields):
     """Total color assignment on unordered pairs of {0..n-1} into k colors.
 
     Colors are stored as a flat tuple in lexicographic pair order.
     """
 
-    n: int
-    k: int
-    colors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n, k, colors):
+        if n < 0:
             raise ValueError("negative vertex count")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("negative color count")
-        object.__setattr__(self, "colors", tuple(self.colors))
-        npairs = self.n * (self.n - 1) // 2
-        if len(self.colors) != npairs:
-            raise ValueError(
-                f"expected {npairs} colors for n={self.n}, got {len(self.colors)}"
-            )
-        for c in self.colors:
-            if not 0 <= c < self.k:
-                raise ValueError(f"color {c} out of range for k={self.k}")
+        colors = tuple(colors)
+        npairs = n * (n - 1) // 2
+        if len(colors) != npairs:
+            raise ValueError(f"expected {npairs} colors for n={n}, got {len(colors)}")
+        for c in colors:
+            if not 0 <= c < k:
+                raise ValueError(f"color {c} out of range for k={k}")
+        return tuple.__new__(cls, (n, k, colors))
+
+    @classmethod
+    def _make(cls, fields) -> "EdgeColoring":
+        """As Graph._make: _replace checks like the constructor."""
+        return cls(*fields)
 
     @classmethod
     def constant(cls, n, k, color=0) -> "EdgeColoring":

@@ -7,11 +7,10 @@ that color.  An instance is satisfiable iff an avoiding coloring exists.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__ as _version
 from .graphs import EdgeColoring, InputFormatError, pair_rows
@@ -27,12 +26,13 @@ CLAUSE_LIMIT = 5_000_000
 
 
 def forbidden_list_hash(fl: ForbiddenList) -> str:
+    import hashlib  # here, so that importing hcramsey loads no OpenSSL
+
     payload = repr((fl.m, fl.kappa, fl.masks)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class CnfInstance:
+class CnfInstance(NamedTuple):
     n: int
     m: int
     kappa: int

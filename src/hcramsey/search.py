@@ -7,9 +7,9 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .graphs import (
     TABLE_VERTEX_LIMIT,
@@ -28,8 +28,7 @@ AVOIDING = "avoiding"
 EXHAUSTED = "exhausted"
 UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
-class ArrowWitness:
+class ArrowWitness(NamedTuple):
     """A color and a vertex set whose induced color graph is
     kappa-connected, plus the connectivity certificate."""
 
@@ -38,8 +37,7 @@ class ArrowWitness:
     verdict: ConnectivityVerdict
 
 
-@dataclass(frozen=True)
-class ForbiddenList:
+class ForbiddenList(NamedTuple):
     """All edge-minimal kappa-connected graphs on m labeled vertices.
 
     A graph on m vertices is kappa-connected iff it contains a member as a
@@ -51,15 +49,13 @@ class ForbiddenList:
     masks: tuple
 
 
-@dataclass
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int = 0
     forbidden_prunes: int = 0
     wall_time: float = 0.0
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     n: int
     m: int
     kappa: int
@@ -655,15 +651,14 @@ def exists_avoiding_coloring(
     return _backtrack(n, m, kappa, k, node_budget, vertex=_vertex)[0]
 
 
-@dataclass
-class RamseyResult:
+class RamseyResult(NamedTuple):
     m: int
     kappa: int
     k: int
     n_max: int
     value: int | None  # least n with no avoiding coloring; None if > n_max
     status: str  # determined | open | unknown
-    outcomes: dict = field(default_factory=dict)
+    outcomes: dict
 
     def to_json_dict(self) -> dict:
         return {

@@ -404,8 +404,6 @@ def test_number_refuses_m_above_the_table_limit_before_n_max(tmp_path, capsys):
 
 
 def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
-    from dataclasses import replace
-
     from hcramsey.satbridge import to_dimacs
 
     inst, model = _two_pentagons_model(tmp_path)
@@ -413,7 +411,7 @@ def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
     # but the file's extra clause is violated.
     extra = (-inst.var(0, two_pentagons_coloring().colors[0]),)
     cnf = tmp_path / "extra.cnf"
-    cnf.write_text(to_dimacs(replace(inst, clauses=inst.clauses + (extra,))))
+    cnf.write_text(to_dimacs(inst._replace(clauses=inst.clauses + (extra,))))
     code, store = run(tmp_path, "verify-model", str(cnf), str(model))
     assert code == 1
     assert "violates clause" in capsys.readouterr().out
@@ -422,13 +420,11 @@ def test_verify_model_reads_the_clauses_of_the_file(tmp_path, capsys):
 
 
 def test_verify_model_checks_the_forbidden_hash(tmp_path, capsys):
-    from dataclasses import replace
-
     from hcramsey.satbridge import to_dimacs
 
     inst, model = _two_pentagons_model(tmp_path)
     cnf = tmp_path / "stale.cnf"
-    cnf.write_text(to_dimacs(replace(inst, forbidden_hash="0" * 16)))
+    cnf.write_text(to_dimacs(inst._replace(forbidden_hash="0" * 16)))
     code, _ = run(tmp_path, "verify-model", str(cnf), str(model))
     capsys.readouterr()
     assert code == 1

@@ -92,6 +92,15 @@ def test_pair_rows_read_the_pair_index(n):
         assert row[u] + v == pair_index(n, u, v)
 
 
+def test_pair_rows_read_the_pair_index_at_large_n():
+    n = 10**5
+    row = pair_rows(n)
+    assert len(row) == n - 1
+    for u in (0, 1, n // 2, n - 2):
+        assert row[u] + u + 1 == pair_index(n, u, u + 1)
+        assert row[u] + n - 1 == pair_index(n, u, n - 1)
+
+
 @pytest.mark.parametrize("n, edges, message", [
     (-1, [], "negative vertex count"),
     (3, [(0, 3)], re.escape("bad pair (0, 3) for n=3")),
