@@ -8,7 +8,6 @@ exhausted / unknown outcome.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -74,6 +73,8 @@ def _strip_volatile(value):
 
 
 def outcome_digest(outcome) -> str:
+    import hashlib  # here, so that importing the CLI loads no OpenSSL
+
     blob = json.dumps(_strip_volatile(outcome), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

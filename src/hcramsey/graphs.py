@@ -241,20 +241,16 @@ def is_connected(g: Graph) -> bool:
     return _mask_component(_adj_masks(g.n, g.mask), full) == full
 
 
-def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
+def _short_paths(adj: list[int], s: int, t: int, cap: int | None = None):
     """(count, common, matched): internally disjoint s-t paths of length
     2 and 3 for a nonadjacent pair, in the order the flow's BFS finds them.
 
-    `common` is the set of common neighbours c (paths s-c-t), as the bits
-    of their vin nodes in the vertex-split digraph of _max_disjoint_paths.
-    `matched` lists the (a, b) of paths s-a-b-t, again as vin bits: each a
-    in N(s) - N(t) in ascending order takes the least b still free in
-    N(t) - N(s).  The matching stops once the two give `cap` paths.
+    `common` is the vertex mask of the common neighbours c (paths s-c-t).
+    `matched` lists the (a, b) of paths s-a-b-t, as one-bit vertex masks:
+    each a in N(s) - N(t) in ascending order takes the least b still free
+    in N(t) - N(s).  The matching stops once the two give `cap` paths.
     """
-    # arcs[2v + 1] is v's neighbour set, as the bits of their vin nodes,
-    # so the vertex whose vin bit is `bit` has neighbours
-    # arcs[bit.bit_length()].
-    ns, nt = arcs[2 * s + 1], arcs[2 * t + 1]
+    ns, nt = adj[s], adj[t]
     common = ns & nt
     found = common.bit_count()
     left, right = ns & ~nt, nt & ~ns
@@ -262,7 +258,7 @@ def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
     while left and (cap is None or found < cap):
         bit = left & -left
         left ^= bit
-        ends = arcs[bit.bit_length()] & right
+        ends = adj[bit.bit_length() - 1] & right
         if ends:
             end = ends & -ends
             right ^= end
@@ -271,17 +267,19 @@ def _short_paths(arcs: list[int], s: int, t: int, cap: int | None = None):
     return found, common, matched
 
 
-def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None,
+def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
                         short=None):
-    """Max internally vertex-disjoint s-t paths for a nonadjacent pair.
+    """Max internally vertex-disjoint s-t paths for a nonadjacent pair of
+    the graph whose neighbour masks are `adj`.
 
-    Unit-capacity flow on the vertex-split digraph (vin(v) = 2v,
-    vout(v) = 2v+1), whose arcs out of node a are the bitmask arcs[a];
-    returns (value, paths, separator) where paths are vertex tuples and
+    Unit-capacity flow on the vertex-split digraph in block layout,
+    vin(v) = v and vout(v) = n + v: the arc out of vin(v) is its vertex
+    arc to vout(v), and the arcs out of vout(v) are v's neighbour mask.
+    Returns (value, paths, separator) where paths are vertex tuples and
     the separator is a minimum vertex cut disjoint from {s, t}.  Once the
     flow reaches `cap` it returns (cap, (), frozenset()) at once: the
     caller only needs to know the value is not below it.  `short` is
-    _short_paths(arcs, s, t, cap) when the caller has it already.
+    _short_paths(adj, s, t, cap) when the caller has it already.
 
     The flow augments along the first shortest residual path its BFS
     finds, taking nodes lowest first.  Its first rounds are applied
@@ -296,40 +294,46 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None,
     N(t), and vout(a) of a saturated a, reached back through vin(b).  So
     the residual after the seed is the residual after those rounds, and
     the later rounds, the paths and the separator are unchanged.
+
+    Every arc joins a vin to a vout, so the nodes a BFS layer adds are
+    all of one kind, and within a kind the blocks keep the order of the
+    interleaved numbering vin(v) = 2v, vout(v) = 2v + 1.  So the queue
+    and the parents, and with them the value, paths and separator, are
+    those of the same flow numbered interleaved, as the tests' BFS-only
+    oracle flow is.
     """
-    n = len(arcs) // 2
+    if short is None:
+        short = _short_paths(adj, s, t, cap)
+    flow, common, matched = short
+    if cap is not None and flow >= cap:
+        return cap, (), frozenset()
+    n = len(adj)
+    src, snk = n + s, t
     # res[a] = bitmask of nodes b with residual capacity on a->b.  Each
     # vin(v) has one unit out, s and t are nonadjacent and nothing enters
     # vout(t), so an edge arc carries 0 or 1 unit: its forward residual
     # never closes and its reverse arc is open iff it carries flow.  An
-    # augmenting step a->b therefore flips a vertex arc (a>>1 == b>>1),
-    # opens b->a on a forward edge arc (a odd) and closes a->b on a
-    # reverse edge arc (a even).
-    res = arcs.copy()
-    res[2 * s] = res[2 * t] = 0
-    src, snk = 2 * s + 1, 2 * t
+    # augmenting step a->b therefore flips a vertex arc (|a - b| = n),
+    # opens b->a on a forward edge arc (a >= n, a vout) and closes a->b
+    # on a reverse edge arc (a < n, a vin).
     # The seed: a saturated v keeps one arc out of vin(v), back to its
-    # predecessor, and opens vout(v) -> vin(v); vin(t) gains the reverse
-    # arc of the last edge.
-    if short is None:
-        short = _short_paths(arcs, s, t, cap)
-    flow, common, matched = short
-    if cap is not None and flow >= cap:
-        return cap, (), frozenset()
+    # predecessor, and opens vout(v) -> vin(v); vin(t) has no arc out but
+    # the reverse arcs of the last edges, one OR for the common neighbours.
+    res = [1 << n + v for v in range(n)] + adj
+    res[s], res[t] = 0, common << n
     while common:
         c = common & -common
         common ^= c
         v = c.bit_length() - 1
         res[v] = 1 << src
-        res[v + 1] |= c
-        res[snk] |= c << 1
+        res[n + v] |= c
     for a, b in matched:
         u, v = a.bit_length() - 1, b.bit_length() - 1
         res[u] = 1 << src
-        res[u + 1] |= a
-        res[v] = a << 1
-        res[v + 1] |= b
-        res[snk] |= b << 1
+        res[n + u] |= a
+        res[v] = a << n
+        res[n + v] |= b
+        res[snk] |= b << n
     parent = [0] * (2 * n)
     while True:
         # Queue order, lowest node first: certificates are deterministic.
@@ -351,10 +355,10 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None,
         b = snk
         while b != src:
             a = parent[b]
-            if a >> 1 == b >> 1:
+            if abs(a - b) == n:
                 res[a] ^= 1 << b
                 res[b] |= 1 << a
-            elif a & 1:
+            elif a >= n:
                 res[b] |= 1 << a
             else:
                 res[a] ^= 1 << b
@@ -363,20 +367,20 @@ def _max_disjoint_paths(arcs: list[int], s: int, t: int, cap: int | None = None,
         if flow == cap:
             return flow, (), frozenset()
 
-    # Minimum vertex cut from the reach of the final, failing BFS.
-    separator = frozenset(
-        v for v in range(n)
-        if v != s and v != t and seen >> 2 * v & 1 and not seen >> 2 * v + 1 & 1
-    )
+    # Minimum vertex cut from the reach of the final, failing BFS: the
+    # vertices whose vin it reached and whose vout it did not.  Neither s
+    # (vout(s) is the source) nor t (vin(t) was not reached) is among them.
+    cut = seen & ~(seen >> n)
+    separator = frozenset(v for v in range(n) if cut >> v & 1)
 
     # A vertex v on a flow path has its vertex arc closed and exactly one
     # open reverse edge arc, back to its predecessor on the path.
     nxt = [t] * n
     starts = []
     for v in range(n):
-        back = res[2 * v] & ~(2 << 2 * v)
+        back = res[v] & ~(1 << n + v)
         if v != s and v != t and back:
-            u = (back.bit_length() - 1) >> 1
+            u = back.bit_length() - 1 - n
             if u == s:
                 starts.append(v)
             else:
@@ -415,26 +419,23 @@ def _connectivity_certificate(n: int, mask: int):
     A pair of smaller value runs its flow in full, so the pair, paths and
     separator returned are those of the scan without the skips.
 
-    The mask is read one row at a time, each row shifted off once: row u
-    holds the pairs (u, v), v > u, as bit v.  Testing bit i of the mask
-    for each pair would shift the whole mask C(n, 2) times."""
+    The mask is decoded once into neighbour masks, one row at a time, each
+    row shifted off once: row u holds the pairs (u, v), v > u, as bit v,
+    and joins adj[u] whole.  Testing bit i of the mask for each pair would
+    shift the whole mask C(n, 2) times."""
     full = 1 << n
-    rows, rest = [], mask
+    adj, rest = [0] * n, mask
     for u in range(n - 1):
-        rows.append((rest & (1 << n - u - 1) - 1) << u + 1)
+        row = (rest & (1 << n - u - 1) - 1) << u + 1
         rest >>= n - u - 1
-    # vin(v) -> vout(v) for every v, vout(u) -> vin(v) for every edge uv.
-    arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
-    for u, row in enumerate(rows):
+        adj[u] |= row
         while row:
             bit = row & -row
             row ^= bit
-            v = bit.bit_length() - 1
-            arcs[2 * u + 1] |= 1 << 2 * v
-            arcs[2 * v + 1] |= 1 << 2 * u
+            adj[bit.bit_length() - 1] |= 1 << u
     best = None
-    for s, row in enumerate(rows):
-        gaps = ~row & full - (2 << s)
+    for s in range(n - 1):
+        gaps = ~adj[s] & full - (2 << s)
         while gaps:
             bit = gaps & -gaps
             gaps ^= bit
@@ -444,10 +445,10 @@ def _connectivity_certificate(n: int, mask: int):
                 cap = best[0]
                 if s >= cap:
                     return best
-                short = _short_paths(arcs, s, t, cap)
+                short = _short_paths(adj, s, t, cap)
                 if short[0] >= cap:
                     continue
-            value, paths, separator = _max_disjoint_paths(arcs, s, t, cap, short)
+            value, paths, separator = _max_disjoint_paths(adj, s, t, cap, short)
             if value == cap:
                 continue
             best = (value, (s, t), paths, separator)

@@ -321,8 +321,10 @@ class TestConnectivityTable:
 
 
 def _arcs(n, mask):
-    """The vertex-split digraph of _max_disjoint_paths for the graph on n
-    vertices with edge mask `mask`."""
+    """The vertex-split digraph of the graph on n vertices with edge mask
+    `mask`, interleaved: vin(v) = 2v, vout(v) = 2v + 1.  _max_disjoint_paths
+    numbers its nodes in blocks instead, so the oracle flow below shares
+    neither numbering nor decoder with it."""
     arcs = [2 << a if a % 2 == 0 else 0 for a in range(2 * n)]
     for i, (u, v) in enumerate(all_pairs(n)):
         if mask >> i & 1:
@@ -515,11 +517,15 @@ class TestCertificates:
             g = random_graph(rng.randrange(7, 13), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9]))
             cases.append((g.n, g.mask))
         for n, mask in cases:
-            arcs = _arcs(n, mask)
+            arcs, adj = _arcs(n, mask), [0] * n
+            for i, (u, v) in enumerate(all_pairs(n)):
+                if mask >> i & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
             for i, (s, t) in enumerate(all_pairs(n)):
                 if not mask >> i & 1:
                     for cap in (None, 1, 2, 3, 4, 5):
-                        assert graphs_module._max_disjoint_paths(arcs, s, t, cap) == _bfs_only_flow(
+                        assert graphs_module._max_disjoint_paths(adj, s, t, cap) == _bfs_only_flow(
                             arcs, s, t, cap
                         ), (n, mask, s, t, cap)
 
@@ -566,35 +572,53 @@ def test_monotone_in_kappa(g):
                 assert is_kappa_connected(g, smaller)[0]
 
 
+def _check_verdict(g, kappa):
+    """is_kappa_connected(g, kappa) against the definitions: at least kappa
+    internally disjoint s-t paths along edges of g, or fewer than kappa
+    vertices, missing s and t, whose removal leaves s and t in different
+    components."""
+    ok, verdict = is_kappa_connected(g, kappa)
+    if ok and verdict.pair is not None:
+        s, t = verdict.pair
+        assert len(verdict.paths) >= kappa
+        internal = []
+        for path in verdict.paths:
+            assert path[0] == s and path[-1] == t
+            for a, b in zip(path, path[1:]):
+                assert (min(a, b), max(a, b)) in g.edges
+            internal.append(set(path[1:-1]))
+        for i, a in enumerate(internal):
+            for b in internal[i + 1:]:
+                assert not a & b
+    if not ok:
+        s, t = verdict.pair
+        assert s not in verdict.separator and t not in verdict.separator
+        assert len(verdict.separator) < kappa
+        kept = [v for v in range(g.n) if v not in verdict.separator]
+        remap = {v: i for i, v in enumerate(kept)}
+        left = [(u, v) for u, v in g.edges if u in remap and v in remap]
+        residual = Graph(len(kept), frozenset((remap[u], remap[v]) for u, v in left))
+        assert not is_connected(residual)
+        assert residual.n >= 2
+        reach = {s}
+        for _ in kept:
+            reach |= {v for u, v in left if u in reach} | {u for u, v in left if v in reach}
+        assert t not in reach
+
+
 @given(graph_strategy(min_n=2, max_n=7))
 @settings(max_examples=150, deadline=None)
 def test_verdict_certificates(g):
     for kappa in range(g.n + 1):
-        ok, verdict = is_kappa_connected(g, kappa)
-        if ok and verdict.pair is not None:
-            s, t = verdict.pair
-            assert len(verdict.paths) >= kappa
-            internal = []
-            for path in verdict.paths:
-                assert path[0] == s and path[-1] == t
-                for a, b in zip(path, path[1:]):
-                    assert (min(a, b), max(a, b)) in g.edges
-                internal.append(set(path[1:-1]))
-            for i, a in enumerate(internal):
-                for b in internal[i + 1:]:
-                    assert not a & b
-        if not ok:
-            assert len(verdict.separator) < kappa
-            kept = [v for v in range(g.n) if v not in verdict.separator]
-            remap = {v: i for i, v in enumerate(kept)}
-            edges = frozenset(
-                (remap[u], remap[v])
-                for u, v in g.edges
-                if u in remap and v in remap
-            )
-            residual = Graph(len(kept), edges)
-            assert not is_connected(residual)
-            assert residual.n >= 2
+        _check_verdict(g, kappa)
+
+
+def test_verdict_certificates_on_8_to_12_vertices():
+    rng = random.Random(812)
+    for _ in range(150):
+        g = random_graph(rng.randrange(8, 13), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+        for kappa in range(g.n + 1):
+            _check_verdict(g, kappa)
 
 
 @given(mask_strategy(min_n=2, max_n=7))

@@ -1,6 +1,6 @@
 """The package's records are NamedTuples: immutable, equal to the tuple of
 their fields, and checked by _replace as by their constructors.  Importing
-the package loads neither dataclasses nor hashlib."""
+the package or its CLI loads neither dataclasses nor hashlib."""
 
 import copy
 import pickle
@@ -111,7 +111,7 @@ package = set(sys.modules) - bare
 import hcramsey.cli
 cli = set(sys.modules) - bare - package
 print(sorted(package & {{"dataclasses", "inspect", "hashlib"}}))
-print(sorted(cli & {{"dataclasses", "inspect"}}))
+print(sorted(cli & {{"dataclasses", "inspect", "hashlib"}}))
 print(hcramsey.__file__.startswith({str(src)!r}))
 """
     out = subprocess.run([sys.executable, "-I", "-c", code],
