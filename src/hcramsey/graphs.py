@@ -241,7 +241,7 @@ def is_connected(g: Graph) -> bool:
     return _mask_component(_adj_masks(g.n, g.mask), full) == full
 
 
-def _short_paths(adj: list[int], s: int, t: int, cap: int | None = None):
+def _short_paths(adj: list[int], s: int, t: int, cap: int):
     """(count, common, matched): internally disjoint s-t paths of length
     2 and 3 for a nonadjacent pair, in the order the flow's BFS finds them.
 
@@ -255,7 +255,7 @@ def _short_paths(adj: list[int], s: int, t: int, cap: int | None = None):
     found = common.bit_count()
     left, right = ns & ~nt, nt & ~ns
     matched = []
-    while left and (cap is None or found < cap):
+    while left and found < cap:
         bit = left & -left
         left ^= bit
         ends = adj[bit.bit_length() - 1] & right
@@ -267,8 +267,7 @@ def _short_paths(adj: list[int], s: int, t: int, cap: int | None = None):
     return found, common, matched
 
 
-def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
-                        short=None):
+def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int, short):
     """Max internally vertex-disjoint s-t paths for a nonadjacent pair of
     the graph whose neighbour masks are `adj`.
 
@@ -279,7 +278,10 @@ def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
     the separator is a minimum vertex cut disjoint from {s, t}.  Once the
     flow reaches `cap` it returns (cap, (), frozenset()) at once: the
     caller only needs to know the value is not below it.  `short` is
-    _short_paths(adj, s, t, cap) when the caller has it already.
+    _short_paths(adj, s, t, cap).  A nonadjacent pair has at most n - 2
+    internally disjoint paths, each with an inner vertex of its own, so a
+    cap of n - 1 is never reached: the matching, the flow and the result
+    are then the uncapped ones.
 
     The flow augments along the first shortest residual path its BFS
     finds, taking nodes lowest first.  Its first rounds are applied
@@ -301,11 +303,16 @@ def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
     and the parents, and with them the value, paths and separator, are
     those of the same flow numbered interleaved, as the tests' BFS-only
     oracle flow is.
+
+    The residual starts as the block layout itself, with no fix-up at s
+    or t.  Every BFS stops as soon as it sees the sink, so vin(t) is never
+    expanded, and the path read-off skips t: its arcs out are never read.
+    The one arc out of vin(s) goes to vout(s), the source, which every BFS
+    has seen already, so reaching vin(s) adds no node and no parent, and s
+    never enters the cut.
     """
-    if short is None:
-        short = _short_paths(adj, s, t, cap)
     flow, common, matched = short
-    if cap is not None and flow >= cap:
+    if flow >= cap:
         return cap, (), frozenset()
     n = len(adj)
     src, snk = n + s, t
@@ -317,10 +324,8 @@ def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
     # opens b->a on a forward edge arc (a >= n, a vout) and closes a->b
     # on a reverse edge arc (a < n, a vin).
     # The seed: a saturated v keeps one arc out of vin(v), back to its
-    # predecessor, and opens vout(v) -> vin(v); vin(t) has no arc out but
-    # the reverse arcs of the last edges, one OR for the common neighbours.
+    # predecessor, and opens vout(v) -> vin(v).
     res = [1 << n + v for v in range(n)] + adj
-    res[s], res[t] = 0, common << n
     while common:
         c = common & -common
         common ^= c
@@ -333,7 +338,6 @@ def _max_disjoint_paths(adj: list[int], s: int, t: int, cap: int | None = None,
         res[n + u] |= a
         res[v] = a << n
         res[n + v] |= b
-        res[snk] |= b << n
     parent = [0] * (2 * n)
     while True:
         # Queue order, lowest node first: certificates are deterministic.
@@ -402,8 +406,13 @@ def _connectivity_certificate(n: int, mask: int):
     bit of mask) is the lexicographically least one, so the first pair with
     no path ends the scan.
 
-    After the first pair, a later pair replaces the best only with a
-    strictly smaller value, so work that cannot show one is skipped:
+    The best value b starts at n - 1, which no nonadjacent pair reaches:
+    each of its internally disjoint paths needs an inner vertex of its
+    own, so it has at most n - 2.  So s >= b does not hold while b is
+    n - 1, and the first pair always replaces it, with the result of its
+    uncapped flow.
+    A pair replaces the best only with a strictly smaller value, so work
+    that cannot show one is skipped:
       - Even's stop: the scan ends at the first pair (s, t) with s >= b,
         the best value.  A smaller value has a separator S with |S| < b;
         one of 0..b-1 lies outside S and is cut by S from some vertex, and
@@ -433,28 +442,26 @@ def _connectivity_certificate(n: int, mask: int):
             bit = row & -row
             row ^= bit
             adj[bit.bit_length() - 1] |= 1 << u
-    best = None
+    best = (n - 1, None, (), frozenset())
     for s in range(n - 1):
         gaps = ~adj[s] & full - (2 << s)
         while gaps:
             bit = gaps & -gaps
             gaps ^= bit
             t = bit.bit_length() - 1
-            cap = short = None
-            if best is not None:
-                cap = best[0]
-                if s >= cap:
-                    return best
-                short = _short_paths(adj, s, t, cap)
-                if short[0] >= cap:
-                    continue
+            cap = best[0]
+            if s >= cap:
+                return best
+            short = _short_paths(adj, s, t, cap)
+            if short[0] >= cap:
+                continue
             value, paths, separator = _max_disjoint_paths(adj, s, t, cap, short)
             if value == cap:
                 continue
             best = (value, (s, t), paths, separator)
             if value == 0:
                 return best
-    assert best is not None
+    assert best[1] is not None
     return best
 
 

@@ -492,6 +492,35 @@ class TestCertificates:
         assert certificate[:2] == (1, (0, 2))
         assert certificate == self._uncapped_certificate(g.n, g.mask)
 
+    def test_every_flow_is_capped_and_handed_its_short_paths(self, monkeypatch):
+        # One call shape: the first pair's cap is n - 1, which no
+        # nonadjacent pair reaches, and every flow is handed the short
+        # paths its caller found, fewer than the cap.
+        calls = []
+        flow = graphs_module._max_disjoint_paths
+
+        def recording(*args):
+            calls.append(args)
+            return flow(*args)
+
+        monkeypatch.setattr(graphs_module, "_max_disjoint_paths", recording)
+        graphs = [g for n in range(2, 6) for g in graphs_on(n) if not g.is_complete()]
+        rng = random.Random(31)
+        for _ in range(200):
+            g = random_graph(rng.randrange(7, 13), rng, p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+            if not g.is_complete():
+                graphs.append(g)
+        for g in graphs:
+            calls.clear()
+            _connectivity_certificate.cache_clear()
+            _connectivity_certificate(g.n, g.mask)
+            assert calls, (g.n, g.mask)
+            for adj, s, t, cap, short in calls:
+                assert adj == graphs_module._adj_masks(g.n, g.mask)
+                assert type(cap) is int and cap <= g.n - 1, (g.n, g.mask, s, t, cap)
+                assert short == graphs_module._short_paths(adj, s, t, cap)
+                assert short[0] < cap
+
     @staticmethod
     def _uncapped_certificate(n, mask):
         """The full flow of each nonadjacent pair in lexicographic order,
@@ -524,10 +553,13 @@ class TestCertificates:
                     adj[v] |= 1 << u
             for i, (s, t) in enumerate(all_pairs(n)):
                 if not mask >> i & 1:
+                    # A cap of n - 1 is never reached: the uncapped oracle.
                     for cap in (None, 1, 2, 3, 4, 5):
-                        assert graphs_module._max_disjoint_paths(adj, s, t, cap) == _bfs_only_flow(
-                            arcs, s, t, cap
-                        ), (n, mask, s, t, cap)
+                        c = n - 1 if cap is None else cap
+                        short = graphs_module._short_paths(adj, s, t, c)
+                        assert graphs_module._max_disjoint_paths(
+                            adj, s, t, c, short
+                        ) == _bfs_only_flow(arcs, s, t, cap), (n, mask, s, t, cap)
 
     def test_k400_minus_a_perfect_matching(self):
         # 398 common neighbours seed the flow of (0, 1) and skip every
