@@ -284,6 +284,12 @@ def cmd_delta_mine(args):
     return outcome, EXIT_OK
 
 
+def _required_ints(p, *names):
+    """Add a required int option --name for each name, in order."""
+    for name in names:
+        p.add_argument(f"--{name}", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcramsey",
@@ -301,17 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arrow", help="arrow relation on a coloring file")
     p.add_argument("coloring_file")
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _required_ints(p, "kappa", "m")
     p.add_argument("--at-least", action="store_true")
     p.set_defaults(func=cmd_arrow)
 
     p = sub.add_parser("search", help="search for an avoiding coloring",
                        description="Search for an avoiding coloring: " + SEARCH_HELP + ".")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
+    _required_ints(p, "n", "m", "kappa", "colors")
     p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_search)
 
@@ -322,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "counts are those of a search of K_n alone, and its wall_time "
                        "runs from the start of the search to that n's decision: "
                        + SEARCH_HELP + ".")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    _required_ints(p, "m", "kappa", "colors", "nmax")
     p.add_argument("--budget", type=int, help=BUDGET_HELP)
     p.set_defaults(func=cmd_number)
 
@@ -342,10 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coloring)
 
     p = sub.add_parser("cnf", help="emit a DIMACS CNF avoidance instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--kappa", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
+    _required_ints(p, "n", "m", "kappa", "colors")
     p.add_argument("--out")
     p.set_defaults(func=cmd_cnf)
 
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta-mine", help="mine a two-dimensional sunflower")
     p.add_argument("family_file")
-    p.add_argument("--size", type=int, required=True)
+    _required_ints(p, "size")
     p.set_defaults(func=cmd_delta_mine)
 
     return parser

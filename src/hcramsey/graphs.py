@@ -558,16 +558,15 @@ def brute_force_kappa(g: Graph) -> int:
     return g.n
 
 
-def _pext(x: int, keep: int) -> int:
-    """The bits of x at the set bits of keep, packed into the low bits."""
-    out = j = 0
-    while keep:
-        low = keep & -keep
-        keep ^= low
-        if x & low:
-            out |= 1 << j
-        j += 1
-    return out
+def _sums(choices) -> list:
+    """Every sum of one value from each entry of choices, with the first
+    entry varying fastest: the sum at index i takes value i % len(c0) of
+    the first entry c0, and so on, as bit 0 of a mask or digit 0 of a
+    base-k code varies fastest.  No choices give [0]."""
+    sums = [0]
+    for choice in choices:
+        sums = [s + c for c in choice for s in sums]
+    return sums
 
 
 def _fold(a: bytes, b: bytes, table: bytes) -> bytes:
@@ -602,10 +601,14 @@ def connectivity_table(m: int) -> bytes:
     is min f_v where max f_v >= 2, and 0 elsewhere.
 
     Deleting v and renumbering the vertices above it keeps the order of
-    the other pairs, so the mask of G - v is the bits of `mask` outside
-    v's star, packed downward.  Per v, a byte pattern packs the low 7 bits
-    (bytes.translate over a window of T'), and a table per higher 7-bit
-    chunk gives the window's start.
+    the other pairs, so bit j of `mask`, for j outside v's star, lands at
+    bit j minus the number of star bits below j in the mask of G - v, and
+    star bits are dropped.  Packing a mask is therefore a sum of one
+    offset per bit, and the low bits' sum and the high bits' sum add.  Per
+    v, _sums lists the packed low 7 bits as a byte pattern (bytes.translate
+    over a window of T') and the packed high bits as the window starts, in
+    the masks' order, since bit 0 varies fastest.  The window's width is
+    max(pattern) + 1 = 2**(low bits outside the star).
     """
     if m > TABLE_VERTEX_LIMIT:
         raise ValueError(f"enumeration size limit: tables cover m <= {TABLE_VERTEX_LIMIT}")
@@ -616,25 +619,21 @@ def connectivity_table(m: int) -> bytes:
     low_bits = min(7, npairs)
     least = most = None
     for star in star_masks(m):
-        keep = ((1 << npairs) - 1) & ~star
-        width = 1 << (keep & ((1 << low_bits) - 1)).bit_count()
-        pattern = bytes(_pext(x, keep) for x in range(1 << low_bits))
+        moves = [(0, 0 if star >> j & 1 else 1 << j - (star & (1 << j) - 1).bit_count())
+                 for j in range(npairs)]
+        pattern = bytes(_sums(moves[:low_bits]))
+        width = max(pattern) + 1
         # The window is at most 128 bytes, so byte 255 reads the zero
         # padding: f_v = 0 where neither the low nor the high bits hold an
         # edge at v.
         no_edge = bytes(p if x & star else 255 for x, p in enumerate(pattern))
         pad = bytes(256 - width)
-        starts = [0]
-        for shift in range(low_bits, npairs, 7):
-            chunk_size = 1 << min(7, npairs - shift)
-            chunk = [_pext(x << shift, keep) for x in range(chunk_size)]
-            starts = [s | c for c in chunk for s in starts]
         high_star = star >> low_bits
         f = b"".join([
             (pattern if high & high_star else no_edge).translate(
                 raised[start:start + width] + pad
             )
-            for high, start in enumerate(starts)
+            for high, start in enumerate(_sums(moves[low_bits:]))
         ])
         if least is None:
             least = most = f

@@ -15,6 +15,7 @@ from .graphs import (
     TABLE_VERTEX_LIMIT,
     ConnectivityVerdict,
     EdgeColoring,
+    _sums,
     all_pairs,
     connectivity_table,
     is_kappa_connected_mask,
@@ -317,24 +318,24 @@ def pattern_table(m: int, threshold: int, k: int) -> tuple:
 
     Built by rows: p = ph * k**low + pl, and color c's mask is hc | lc,
     with hc from the high digits ph and lc < 2**low from the low digits pl.
-    Per color, a byte pattern lists lc for every pl; bytes.translate of
-    that pattern through the table window at hc gives color c's row, and
-    the rows of the colors in ph are OR-ed as integers.  A color absent
-    from ph reads the window at 0.  Those rows, OR-ed over all colors once,
-    go into every row: for a color in ph they add nothing, since an entry
-    never drops when edges are added.  The top digit is ph's, so each
-    column is one block of consecutive rows.
+    Per color c, a byte pattern lists lc for every pl: lc is the sum over
+    j < low of 2**j for each digit d_j of pl equal to c, one term per
+    digit, so graphs._sums lists it in pl's order (digit 0 varies
+    fastest).  bytes.translate of that pattern through the table window
+    at hc gives color c's row, and the rows of the colors in ph are OR-ed
+    as integers.  A color absent from ph reads the window at 0.  Those
+    rows, OR-ed over all colors once, go into every row: for a color in ph
+    they add nothing, since an entry never drops when edges are added.
+    The top digit is ph's, so each column is one block of consecutive
+    rows.
     """
     npairs = m * (m - 1) // 2
     table = connectivity_table(m).translate(bytes(x >= threshold for x in range(256)))
     low = min(8, npairs // 2)  # lc < 2**low must fit a byte
     size, width = k**low, 1 << low
     pad = bytes(256 - width)
-    digits = [[pl // k**j % k for j in range(low)] for pl in range(size)]
-    patterns = [
-        bytes(sum(1 << j for j, d in enumerate(ds) if d == c) for ds in digits)
-        for c in range(k)
-    ]
+    patterns = [bytes(_sums([[(d == c) << j for d in range(k)] for j in range(low)]))
+                for c in range(k)]
     alone = table[:width] + pad
     any_low = 0
     for pattern in patterns:

@@ -23,6 +23,7 @@ from hcramsey.graphs import (
     is_highly_connected,
     is_kappa_connected,
     _connectivity_certificate,
+    _sums,
     pair_index,
     pair_rows,
     parse_graph_text,
@@ -318,6 +319,17 @@ class TestConnectivityTable:
         assert len(table) == 1 << m * (m - 1) // 2
         for mask, g in enumerate(graphs_on(m)):
             assert table[mask] == brute_force_kappa(g), (m, mask)
+
+    def test_sums_take_one_value_per_entry_first_entry_fastest(self):
+        # Both table builders rely on this order: bit 0 of a mask and
+        # digit 0 of a base-k code vary fastest.
+        assert _sums([]) == [0]
+        rng = random.Random(32)
+        for _ in range(300):
+            choices = [[rng.randrange(-3, 20) for _ in range(rng.randint(1, 4))]
+                       for _ in range(rng.randint(0, 6))]
+            want = [sum(t) for t in itertools.product(*reversed(choices))]
+            assert _sums(choices) == want, choices
 
 
 def _arcs(n, mask):
