@@ -185,9 +185,13 @@ def path_confinement_counterexample(c: EdgeColoring):
     with color <= threshold among vertices >= a; a reached b with c(a, b)
     above the threshold is a counterexample.  Reachability only grows with
     the threshold, so such a b is found at the first threshold reaching it.
+    The threshold runs over the colors in use only: between two used
+    colors the BFS reaches the same vertices, so a counterexample at
+    threshold xi is one at the largest used color at or below xi, which
+    comes first.
     """
     for a in range(c.n):
-        for xi in range(c.k):
+        for xi in sorted(set(c.colors)):
             parent = {a: None}
             queue = [a]
             for v in queue:

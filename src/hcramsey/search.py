@@ -19,7 +19,6 @@ from .graphs import (
     all_pairs,
     connectivity_table,
     is_kappa_connected_mask,
-    pair_rows,
 )
 
 ENUMERATION_LIMIT = 1 << 16  # most colorings k^C(n,2) one enumeration may yield
@@ -158,11 +157,16 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     (only complete classes pass).  _passing_sets lists exactly those
     (set, color) pairs, in the order above, so the witness, its verdict
     and the sequence of is_kappa_connected_mask calls are those of a scan
-    of every subset.  Each listed set's colors are read once, and each
-    listed class goes to the flow certificate as its edge mask (bit i the
-    i-th pair in lexicographic order); the pair (u, v) of K_n sits at
-    row[u] + v in c.colors, row = pair_rows(n).  A negative kappa raises
-    ValueError.
+    of every subset.  A negative kappa raises ValueError.
+
+    The coloring is read once, into per-color neighbour masks: bit v of
+    nbrs[xi][u] is set exactly when the pair (u, v) has color xi.  Each
+    listed class goes to the flow certificate as its edge mask, read off
+    nbrs[xi]: bit i is the i-th pair of S in lexicographic order, the
+    mask a read of c.colors would give.  Only color 0 and the colors the
+    coloring holds get masks.  An unused color's class is empty: with
+    need >= 1 its core is empty and it is never listed, and with need = 0
+    every class passes, so color 0, listed first, is the witness.
 
     Each color's search starts from its need-core in K_n: what is left
     after repeatedly deleting vertices with fewer than need neighbours of
@@ -180,9 +184,8 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     n, colors = c.n, c.colors
     if m > n:
         return None
-    row = pair_rows(n)
     # nbrs[xi][v]: the vertices joined to v in color xi, as a bitmask.
-    nbrs = [[0] * n for _ in range(c.k)]
+    nbrs = {xi: [0] * n for xi in sorted({0, *colors}) if xi < c.k}
     for (u, v), xi in zip(itertools.combinations(range(n), 2), colors):
         nbrs[xi][u] |= 1 << v
         nbrs[xi][v] |= 1 << u
@@ -191,16 +194,16 @@ def arrow_check(c: EdgeColoring, kappa: int, m: int, mode: str = "exact"):
     for size in sizes:
         need = min(kappa, size - 1)
         if need != core_need:
-            core_need, cores = need, [_core(adj, n, need) for adj in nbrs]
-        if all(core.bit_count() < size for core in cores):
+            core_need, cores = need, {xi: _core(adj, n, need) for xi, adj in nbrs.items()}
+        if all(core.bit_count() < size for core in cores.values()):
             break
-        for subset, passing in _passing_sets(nbrs, cores, size, need):
-            pairs = [colors[row[u] + v] for u, v in itertools.combinations(subset, 2)]
-            for xi in passing:
-                mask = sum(1 << i for i, pc in enumerate(pairs) if pc == xi)
-                ok, verdict = is_kappa_connected_mask(size, mask, kappa)
-                if ok:
-                    return ArrowWitness(xi, subset, verdict)
+        for subset, xi in _passing_sets(nbrs, cores, size, need):
+            adj = nbrs[xi]
+            pairs = itertools.combinations(subset, 2)
+            mask = sum(1 << i for i, (u, v) in enumerate(pairs) if adj[u] >> v & 1)
+            ok, verdict = is_kappa_connected_mask(size, mask, kappa)
+            if ok:
+                return ArrowWitness(xi, subset, verdict)
     return None
 
 
@@ -225,10 +228,10 @@ def _core(adj, n, need):
 
 
 def _passing_sets(nbrs, cores, size, need):
-    """Every size-set S, in lexicographic order, that has a color xi with
-    minimum degree >= need inside S, as (S, those colors ascending);
-    nbrs[xi][v] is v's neighbour mask in color xi, and color xi draws S
-    from cores[xi].
+    """Every (S, xi), S a size-set and xi a color with minimum degree
+    >= need inside S: sets in lexicographic order, colors ascending within
+    a set.  nbrs[xi][v] is v's neighbour mask in color xi, and color xi
+    draws S from cores[xi].
 
     One depth-first search that picks vertices ascending, so sets come in
     lexicographic order.  At a prefix P with r picks still to make, each
@@ -249,29 +252,32 @@ def _passing_sets(nbrs, cores, size, need):
     newly tight are w, if it is not in at[t], and the u in P with exactly
     t - 1 neighbours in P that w does not join.  Those tight before stay
     tight, and the candidates are already cut to their neighbours.
+
+    alive and children keep colors ascending, so the flattened stream
+    lists sets in lexicographic order with colors ascending within a set.
     """
     root = [(xi, core, [-1] + [0] * need)
-            for xi, core in enumerate(cores) if core.bit_count() >= size]
+            for xi, core in cores.items() if core.bit_count() >= size]
     todo = 0
     for _, core, _ in root:
         todo |= core
     # stack[d]: for the prefix of length d, the colors in play, the
     # vertices still to try as its next pick, the picks left after that
-    # one and the prefix as a vertex mask.
-    prefix, stack = [], [[root, todo, size - 1, 0]]
+    # one, the prefix as a vertex mask and the prefix as a tuple.
+    stack = [[root, todo, size - 1, 0, ()]]
     while stack:
         frame = stack[-1]
-        alive, todo, left, pmask = frame
+        alive, todo, left, pmask, prefix = frame
         if not todo:
             stack.pop()
-            if prefix:
-                prefix.pop()
             continue
         bit = todo & -todo
         frame[1] = todo ^ bit
         w = bit.bit_length() - 1
         if not left:
-            yield (*prefix, w), [xi for xi, cand, _ in alive if cand & bit]
+            for xi, cand, _ in alive:
+                if cand & bit:
+                    yield (*prefix, w), xi
             continue
         t = need - left + 1  # a candidate after w needs t neighbours in P + w
         after = -(bit << 1)
@@ -297,8 +303,7 @@ def _passing_sets(nbrs, cores, size, need):
                 children.append((xi, cand, at))
                 todo |= cand
         if children:
-            prefix.append(w)
-            stack.append([children, todo, left - 1, pmask | bit])
+            stack.append([children, todo, left - 1, pmask | bit, (*prefix, w)])
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,28 @@ class TestPathConfinement:
         assert ce.path == (0, 2, 1)
         assert ce.max_color == 0
 
+    def test_unused_colors_in_the_header_change_nothing(self):
+        rng = random.Random(33)
+        for seed in range(120):
+            n, k = rng.randrange(2, 7), rng.randrange(1, 4)
+            c = random_coloring(n, k, seed)
+            want = path_confinement_counterexample(c)
+            for pad in (3, 50):
+                padded = EdgeColoring(n, k + pad, c.colors)
+                assert path_confinement_counterexample(padded) == want, (c, pad)
+
+    def test_declared_palette_costs_no_color_reads(self, monkeypatch):
+        counts = {}
+        for k in (1, 10**4):
+            calls = []
+            color_of = EdgeColoring.color_of
+            monkeypatch.setattr(EdgeColoring, "color_of",
+                                lambda self, u, v: calls.append(1) or color_of(self, u, v))
+            assert path_confinement_check(EdgeColoring.constant(6, k, 0))
+            monkeypatch.undo()
+            counts[k] = len(calls)
+        assert counts[1] == counts[10**4] > 0
+
     def test_sampled_subadditive(self):
         rng = random.Random(17)
         for _ in range(15):

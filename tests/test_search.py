@@ -358,12 +358,17 @@ def _scan_first_witness(c, kappa, m, mode, decide):
     mask each, a class kept only when it has enough edges and every
     vertex has enough neighbours in it, then decide(size, mask, kappa)
     per kept class, colors ascending.  Returns (color, subset, verdict)
-    of the first class decide accepts, or None."""
+    of the first class decide accepts, or None.
+
+    Only color 0 and the colors in use are scanned.  An unused color's
+    class is empty: with need >= 1 it never passes, and with need = 0
+    every class passes, so color 0, scanned first, is the witness."""
     n, colors = c.n, c.colors
     if m > n:
         return None
     index = {p: i for i, p in enumerate(all_pairs(n))}
-    nbrs = [[0] * n for _ in range(c.k)]
+    palette = sorted({0, *colors} & set(range(c.k)))
+    nbrs = {xi: [0] * n for xi in palette}
     for (u, v), xi in zip(all_pairs(n), colors):
         nbrs[xi][u] |= 1 << v
         nbrs[xi][v] |= 1 << u
@@ -371,7 +376,7 @@ def _scan_first_witness(c, kappa, m, mode, decide):
     for size in sizes:
         need = min(kappa, size - 1)
         live = set()
-        for adj in nbrs:
+        for adj in nbrs.values():
             core = set(range(n))
             while True:
                 low = {v for v in core if sum(adj[v] >> u & 1 for u in core) < need}
@@ -384,10 +389,10 @@ def _scan_first_witness(c, kappa, m, mode, decide):
         least = (need * size + 1) // 2
         stars = star_masks(size)
         for subset in itertools.combinations(sorted(live), size):
-            masks = [0] * c.k
+            masks = dict.fromkeys(palette, 0)
             for i, (u, v) in enumerate(itertools.combinations(subset, 2)):
                 masks[colors[index[u, v]]] |= 1 << i
-            for xi, mask in enumerate(masks):
+            for xi, mask in masks.items():
                 if mask.bit_count() < least:
                     continue
                 if any((mask & star).bit_count() < need for star in stars):
@@ -441,6 +446,32 @@ def test_arrow_check_matches_the_subset_scan(monkeypatch):
         # the degree bound.
         leaves += len(_assert_matches_scan(c, kappa, m, "exact", monkeypatch, _refuse)[1])
     assert refused > 20 and witnesses > 1000 and misses > 1000 and leaves > 50000
+
+
+def test_arrow_check_ignores_unused_colors_in_the_header(monkeypatch):
+    # The same pairs under headers of 3, 4 and 10**4 colors give the same
+    # witnesses, and the header's unused colors get no core.
+    core = search_module._core
+    for seed in range(12):
+        n = 5 + seed % 3
+        colors = random_coloring(n, 3, seed).colors
+        found, cores = {}, {}
+        for k in (3, 4, 10**4):
+            calls = []
+            monkeypatch.setattr(search_module, "_core", lambda *a: calls.append(a) or core(*a))
+            found[k] = [
+                arrow_check(EdgeColoring(n, k, colors), kappa, m, mode)
+                for kappa in range(4)
+                for m in range(1, n + 1)
+                for mode in ("exact", "atLeast")
+            ]
+            monkeypatch.undo()
+            cores[k] = len(calls)
+        assert found[3] == found[4] == found[10**4], seed
+        assert cores[3] == cores[4] == cores[10**4] > 0, (seed, cores)
+        assert found[3][0].color == 0  # kappa 0, a 1-set: color 0 first
+    # With no colors at all there is no color 0 either.
+    assert arrow_check(EdgeColoring(1, 0, ()), 0, 1) is None
 
 
 def _paley_17():
