@@ -59,7 +59,8 @@ SEARCH_HELP = (
     "one table lookup per completed m-set, in a table of colors^C(m,2) "
     "entries, made for all the m-sets an edge completes at once; more than 2^24 "
     "entries (m=7 with colors >= 3, m=6 with colors >= 4, m=5 with "
-    "colors >= 6, m=4 with colors >= 17) or m > 7 is refused with exit 2"
+    "colors >= 6, m=4 with colors >= 17), m=2 with more than 65,536 colors "
+    "or m > 7 is refused with exit 2"
 )
 
 

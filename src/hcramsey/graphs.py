@@ -21,6 +21,9 @@ ORACLE_SIZE_LIMIT = 12
 # byte key with 3 bits each (see _fold).
 TABLE_VERTEX_LIMIT = 7
 CERTIFICATE_CACHE_SIZE = 2048
+# Most vertices one certified decision takes: the flow's residual holds
+# each vin(v) row as 1 << n + v, about n^2 bits however sparse the graph.
+CERTIFICATE_VERTEX_LIMIT = 1 << 14
 
 
 class InputFormatError(ValueError):
@@ -431,7 +434,13 @@ def _connectivity_certificate(n: int, mask: int):
     The mask is decoded once into neighbour masks, one row at a time, each
     row shifted off once: row u holds the pairs (u, v), v > u, as bit v,
     and joins adj[u] whole.  Testing bit i of the mask for each pair would
-    shift the whole mask C(n, 2) times."""
+    shift the whole mask C(n, 2) times.
+
+    n above CERTIFICATE_VERTEX_LIMIT raises ValueError ("size limit")
+    before any work: the flow's residual holds each vin(v) row as
+    1 << n + v, so even an edgeless graph costs about n^2 bits."""
+    if n > CERTIFICATE_VERTEX_LIMIT:
+        raise ValueError(f"size limit: certified decisions cover n <= {CERTIFICATE_VERTEX_LIMIT}")
     full = 1 << n
     adj, rest = [0] * n, mask
     for u in range(n - 1):
@@ -467,7 +476,9 @@ def _connectivity_certificate(n: int, mask: int):
 
 def vertex_connectivity(g: Graph) -> int:
     """Classical kappa(g): min over nonadjacent pairs of the max number of
-    internally disjoint paths; n-1 for complete graphs, 0 if disconnected."""
+    internally disjoint paths; n-1 for complete graphs, 0 if disconnected.
+    An incomplete graph on more than CERTIFICATE_VERTEX_LIMIT vertices
+    raises ValueError."""
     if g.n == 0:
         raise ValueError("empty graph")
     if g.is_complete():
@@ -486,8 +497,12 @@ def is_kappa_connected(g: Graph, kappa: int):
 def is_kappa_connected_mask(n: int, mask: int, kappa: int):
     """(answer, verdict) for the graph on n vertices with edge mask `mask`.
     Complete graphs (and n <= 1) are kappa-connected for every kappa;
-    otherwise the answer is vertex_connectivity >= kappa."""
-    if mask == (1 << n * (n - 1) // 2) - 1:
+    otherwise the answer is vertex_connectivity >= kappa.  Completeness
+    is a bit count, as in Graph.is_complete: for a mask of at most C(n,2)
+    bits, which every caller passes, it is all C(n,2) bits set, and no
+    int of C(n,2) bits is built to compare with.  An incomplete graph on
+    more than CERTIFICATE_VERTEX_LIMIT vertices raises ValueError."""
+    if mask.bit_count() == n * (n - 1) // 2:
         return True, ConnectivityVerdict(CONNECTED)
     value, pair, paths, separator = _connectivity_certificate(n, mask)
     if value >= kappa:
@@ -677,14 +692,18 @@ def format_graph_text(g: Graph) -> str:
 
 
 def parse_graph_text(text: str) -> Graph:
+    """The graph of a text in the format above.  The cost is O(edges)
+    whatever n the header declares, plus the mask (one bit per pair up to
+    the last edge's): each edge's bit is one pair_index lookup, and no
+    per-vertex table is built."""
     (n, m), records = read_records(text, "n m", "u v")
     if len(records) != m:
         raise InputFormatError(f"expected {m} edge lines, found {len(records)}")
-    row, bits = pair_rows(n), set()
+    bits = set()
     for i, (u, v) in records:
         if not 0 <= u < v < n:
             raise InputFormatError(f"line {i}: edge ({u}, {v}) out of range")
-        bit = row[u] + v
+        bit = pair_index(n, u, v)
         if bit in bits:
             raise InputFormatError(f"line {i}: duplicate edge ({u}, {v})")
         bits.add(bit)

@@ -373,10 +373,31 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     the order, that a search of K_j alone would visit.  For each j from
     `start` (default n) up to n it therefore reads off K_j's outcome:
     avoiding when the loop first reaches C(j,2), else exhausted when the
-    loop ends or unknown when the node budget runs out.  Returns one
-    SearchOutcome per j from start, ending at n or at the first j that is
-    not avoiding; each one's stats.wall_time is the time from the call to
-    that j's decision.
+    loop ends or unknown when the node budget runs out.  A generator: it
+    yields one SearchOutcome per j from start as it reads it off, in
+    increasing j, and stops after n or after the first j that is not
+    avoiding; each one's stats.wall_time is the time from the first next()
+    to that j's decision.  With start=None the first outcome is K_n's, and
+    the last one always has the largest j.
+
+    It is the search's one guarded entry.  Before any table is built it
+    refuses, with ValueError and in this order:
+      - n < 0, only with start=None (exists_avoiding_coloring's n);
+      - node_budget < 0;
+      - m < 2, kappa < 1 or k < 1;
+      - m > TABLE_VERTEX_LIMIT, with "size limit";
+      - a pattern table of more than PATTERN_LIMIT entries, "size limit";
+      - columns shorter than 256 bytes (W < 256), padded to 256 bytes
+        each below, when k of them would take more than 2^24 bytes, with
+        "size limit".  That is only m = 2 with more than 65,536 colors:
+        any other (m, k) that PATTERN_LIMIT admits with W < 256 has
+        k <= 15.  The bound is a fixed 2^24 bytes, apart from
+        PATTERN_LIMIT, which counts entries;
+      - start > n (ramsey_number's n_max < m), after the table checks, so
+        a size limit is named before n_max.
+    A generator runs nothing before its first next(), and both public
+    wrappers take that at once, so the checks still run before any table;
+    a direct caller gets the same guards.
 
     The loop has two parts.  Reach runs at position 0 and after each color
     that passes.  The first time it gets to a position, which happens once
@@ -444,12 +465,30 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     this is sound.  vertex=False uses first use alone, the search without
     vertex reduction that tests check this one against.
     """
+    if start is None and n < 0:
+        raise ValueError(f"need n >= 0, got n={n}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
+    if m < 2 or kappa < 1 or k < 1:
+        raise ValueError("need m >= 2, kappa >= 1, k >= 1")
+    if m > TABLE_VERTEX_LIMIT:
+        raise ValueError(f"size limit: connectivity tables cover m <= {TABLE_VERTEX_LIMIT}")
+    npairs = m * (m - 1) // 2
+    if k**npairs > PATTERN_LIMIT:
+        raise ValueError(
+            f"size limit: the pattern table would hold {k}^{npairs} entries, "
+            f"more than 2^24"
+        )
+    span = k ** (npairs - 1)  # W, the values a cell can hold
+    if span < 256 and k << 8 > 1 << 24:
+        raise ValueError(f"size limit: {k} pattern columns padded to 256 bytes exceed 2^24 bytes")
+    if start is not None and start > n:
+        raise ValueError("need n_max >= m")
     t0 = time.perf_counter()
     j = n if start is None else start
     goal = j * (j - 1) // 2  # the position at which K_j is read off, C(j, 2)
     # No budget: an int bound no search reaches, so each node compares two ints.
     budget = sys.maxsize if node_budget is None else node_budget
-    span = k ** (m * (m - 1) // 2 - 1)  # W, the values a cell can hold
     size = 1 if span <= 1 << 8 else 2 if span <= 1 << 16 else 4
     bits, fmt = 8 * size, "H" if size == 2 else "I"
     # Columns shorter than 256 bytes are padded for bytes.translate; ljust
@@ -476,7 +515,6 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
     # and b agree on the columns before a.  tied[pos]: rows a-1 and a agree
     # on the columns before b other than a-1 and a.
     recs, rows, colors, state, same, tied = [], [], [], [], [], []
-    outcomes = []
     nodes = prunes = pos = seen = 0
     pinned = len(prefix)
     u, v = -1, 1  # pair at the newest position; the loop first reaches positions in order
@@ -489,11 +527,9 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
             while pos == goal:
                 coloring = tuple(colors[b * (b - 1) // 2 + a] for a, b in all_pairs(j))
                 stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
-                outcomes.append(SearchOutcome(
-                    j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats,
-                ))
+                yield SearchOutcome(j, m, kappa, k, AVOIDING, EdgeColoring(j, k, coloring), stats)
                 if j == n:
-                    return outcomes
+                    return
                 goal += j
                 j += 1
             u, v = (u + 1, v) if u + 1 < v else (0, v + 1)
@@ -583,25 +619,7 @@ def _backtrack(n, m, kappa, k, node_budget, prefix=(), start=None, vertex=True):
                 pos += 1
                 break
     stats = SearchStats(nodes, prunes, time.perf_counter() - t0)
-    outcomes.append(SearchOutcome(j, m, kappa, k, kind, None, stats))
-    return outcomes
-
-
-def _check_search_args(m, kappa, k, node_budget):
-    """The argument checks shared by exists_avoiding_coloring and
-    ramsey_number, made before any table is built."""
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"need node_budget >= 0, got node_budget={node_budget}")
-    if m < 2 or kappa < 1 or k < 1:
-        raise ValueError("need m >= 2, kappa >= 1, k >= 1")
-    if m > TABLE_VERTEX_LIMIT:
-        raise ValueError(f"size limit: connectivity tables cover m <= {TABLE_VERTEX_LIMIT}")
-    npairs = m * (m - 1) // 2
-    if k**npairs > PATTERN_LIMIT:
-        raise ValueError(
-            f"size limit: the pattern table would hold {k}^{npairs} entries, "
-            f"more than 2^24"
-        )
+    yield SearchOutcome(j, m, kappa, k, kind, None, stats)
 
 
 def exists_avoiding_coloring(
@@ -626,9 +644,13 @@ def exists_avoiding_coloring(
     edge (see _backtrack).
     A search whose table would hold more than
     PATTERN_LIMIT = 2^24 entries (k^C(m,2); m=7 with k >= 3, m=6 with
-    k >= 4, m=5 with k >= 6, m=4 with k >= 17), with m > 7, with n < 0,
-    or node_budget < 0 raises ValueError before any table is built; for
+    k >= 4, m=5 with k >= 6, m=4 with k >= 17), m = 2 with more than
+    65,536 colors (k columns padded to 256 bytes each), m > 7, n < 0 or
+    node_budget < 0 raises ValueError before any table is built; for
     n <= 1 there is no edge to color, and K_n is avoiding after 0 nodes.
+    The loop makes these refusals, in _backtrack's order (n first), at the
+    first next(), which this function takes at once; with start=None the
+    first outcome the loop yields is K_n's, the one returned here.
 
     Symmetry breaking (see _backtrack) is first use plus the sb_l floor
     (the private _vertex=False drops the floor), and it is sound.  Relabeling
@@ -651,10 +673,7 @@ def exists_avoiding_coloring(
     workers=2, and goes with the benchmark change that retires that
     `parallel` entry (ROADMAP items 4 and 8).
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    _check_search_args(m, kappa, k, node_budget)
-    return _backtrack(n, m, kappa, k, node_budget, vertex=_vertex)[0]
+    return next(_backtrack(n, m, kappa, k, node_budget, vertex=_vertex))
 
 
 class RamseyResult(NamedTuple):
@@ -701,17 +720,20 @@ def ramsey_number(
     from the start of the search to that n's decision, so it never
     decreases with n.
 
+    The loop makes the refusals (see _backtrack): those of
+    exists_avoiding_coloring other than n < 0, then n_max < m after the
+    table checks, so a size limit is named before n_max.  The dict below
+    reads the stream at once, so they run before any table is built.  The
+    loop yields in increasing n, so the largest key is its last outcome.
+
     `_vertex` is exists_avoiding_coloring's, and the sweep holds either
     way: first use and the sb_l floor at a position of K_n read only the
     positions before it, so inside K_n they prune exactly as in a search of
     K_n alone.
     """
-    _check_search_args(m, kappa, k, node_budget)
-    if n_max < m:
-        raise ValueError("need n_max >= m")
     searched = _backtrack(n_max, m, kappa, k, node_budget, start=m, vertex=_vertex)
     outcomes = {o.n: o for o in searched}
-    last = searched[-1]
+    last = outcomes[max(outcomes)]
     if last.kind == EXHAUSTED:
         return RamseyResult(m, kappa, k, n_max, last.n, "determined", outcomes)
     if last.kind == UNKNOWN:

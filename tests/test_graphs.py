@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,19 @@ class TestEdgeMask:
         assert Graph(10**5, ()).mask == 0
         assert parse_graph_text("100000 0\n").mask == 0
         assert Graph.from_mask(10**5, 0).edges == frozenset()
+
+    def test_parsing_an_edgeless_header_costs_no_per_vertex_table(self):
+        # A per-vertex table of 300,000 ints traces about 12 MB; 10**6
+        # vertices would cost over 100 MB of resident memory under tracing
+        # wherever such a table is built.
+        tracemalloc.start()
+        try:
+            g = parse_graph_text("300000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.mask) == (300_000, 0)
+        assert peak < 1 << 20
 
     def test_from_mask_rejects_bits_beyond_the_pairs(self):
         with pytest.raises(ValueError, match="bad edge mask"):
@@ -169,6 +183,25 @@ class TestVertexConnectivity:
     def test_empty_graph_errors(self):
         with pytest.raises(ValueError, match="empty graph"):
             vertex_connectivity(Graph(0, frozenset()))
+
+    @pytest.mark.parametrize("decide", [
+        vertex_connectivity, lambda g: is_kappa_connected(g, 1),
+    ])
+    def test_certified_decisions_refuse_above_the_vertex_limit(self, decide):
+        # The residual holds about n^2 bits even for an edgeless graph, so
+        # certified decisions stop at n = 2^14.
+        g = Graph(2**14 + 1, ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="size limit"):
+                decide(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_vertex_limit_is_decided(self):
+        assert vertex_connectivity(Graph(2**14, ())) == 0
 
 
 class TestKappaConnected:

@@ -936,6 +936,26 @@ def test_m_above_the_table_limit_refuses_before_building_a_table():
     _refused_before_any_table("size limit: connectivity tables cover m <= 7", 9, 8, 1, 1)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((5, 4, 2, 17), "size limit: the pattern table"),
+    ((9, 8, 1, 1), "connectivity tables cover m <= 7"),
+    ((3, 2, 1, 65537), "size limit"),
+])
+def test_the_loop_called_directly_refuses_before_building_a_table(args, match):
+    # The loop makes the search's checks itself, so a caller that skips
+    # both wrappers gets the same refusals.
+    assert inspect.isgeneratorfunction(_backtrack)
+    _refused_before_any_table(match, *args, search=lambda *a: list(_backtrack(*a, None)))
+
+
+def test_padded_columns_are_bounded_at_m_2():
+    # At m = 2 each column is one byte, padded to 256 for bytes.translate:
+    # 65,536 colors pad to 2^24 bytes and are searched, one more is refused.
+    out = exists_avoiding_coloring(3, 2, 1, 65536)
+    assert (out.kind, out.stats.nodes) == (EXHAUSTED, 1)
+    _refused_before_any_table("size limit", 3, 2, 1, 65537)
+
+
 @pytest.mark.parametrize("m, kappa, k, match", [
     (7, 1, 3, "size limit: the pattern table"),
     (4, 1, 17, "size limit: the pattern table"),
