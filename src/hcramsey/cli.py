@@ -8,6 +8,7 @@ exhausted / unknown outcome.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -291,7 +292,10 @@ def _required_ints(p, *names):
         p.add_argument(f"--{name}", type=int, required=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built on the first call and reused by every
+    later one in the process; nothing builds it at import."""
     parser = argparse.ArgumentParser(
         prog="hcramsey",
         description="Finite workbench for connected Ramsey relations.",

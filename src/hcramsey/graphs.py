@@ -693,10 +693,15 @@ def format_graph_text(g: Graph) -> str:
 
 def parse_graph_text(text: str) -> Graph:
     """The graph of a text in the format above.  The cost is O(edges)
-    whatever n the header declares, plus the mask (one bit per pair up to
-    the last edge's): each edge's bit is one pair_index lookup, and no
-    per-vertex table is built."""
+    plus the mask (one bit per pair up to the last edge's): each edge's
+    bit is one pair_index lookup, and no per-vertex table is built.  A
+    header above CERTIFICATE_VERTEX_LIMIT vertices with some edges but not
+    all C(n,2) raises ValueError ("size limit") before any mask is built:
+    no certified decision accepts that graph."""
     (n, m), records = read_records(text, "n m", "u v")
+    if n > CERTIFICATE_VERTEX_LIMIT and 0 < m < n * (n - 1) // 2:
+        raise ValueError(f"size limit: {n} vertices with {m} edges; certified decisions "
+                         f"cover n <= {CERTIFICATE_VERTEX_LIMIT} unless no or all pairs are edges")
     if len(records) != m:
         raise InputFormatError(f"expected {m} edge lines, found {len(records)}")
     bits = set()

@@ -60,11 +60,12 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     and so do more than CLAUSE_LIMIT one-hot clauses, checked before any
     table is built, or forbidden clauses (see the guards below).
 
-    Each forbidden graph gets one getter (_clause_getter) that picks its
-    edges from a subset's literal list.  Per subset and color the negated
-    literals are listed once, in pair_rows order, so they descend; the
-    getter reads its edges last to first, and each forbidden clause is one
-    getter call that returns it sorted."""
+    Each subset's negated literals for all k colors stand in one list of k
+    blocks of C(m,2), color i's block at offset i*C(m,2), each block in
+    pair_rows order, so it descends.  Each (forbidden graph, color) pair
+    gets one getter (_clause_getter) that reads its edges from its color's
+    block, last to first, so each forbidden clause is one getter call that
+    returns it sorted."""
     if n < 0:
         raise ValueError(f"need n >= 0, got n={n}")
     if m < 2 or kappa < 1 or k < 1:
@@ -91,22 +92,24 @@ def emit_cnf(n: int, m: int, kappa: int, k: int) -> CnfInstance:
     for base in range(1, nedges * k + 1, k):
         clauses.append(tuple(range(base, base + k)))
         clauses.extend((-base - j, -base - i) for i, j in itertools.combinations(range(k), 2))
-    getters = [_clause_getter(fm) for fm in fl.masks]
+    block = math.comb(m, 2)
+    getters = [_clause_getter(fm, i * block) for i in range(k) for fm in fl.masks]
     row = pair_rows(n)
     for subset in itertools.combinations(range(n), m):
         negs = [-(row[u] + v) * k - 1 for u, v in itertools.combinations(subset, 2)]
-        for lits in [[lit - i for lit in negs] for i in range(k)]:
-            clauses.extend([get(lits) for get in getters])
+        lits = [lit - i for i in range(k) for lit in negs]
+        clauses.extend([get(lits) for get in getters])
     clauses.sort()
     return CnfInstance(n, m, kappa, k, nedges * k, tuple(clauses), forbidden_list_hash(fl))
 
 
-def _clause_getter(fm: int):
-    """A callable taking a subset's literal list (one literal per pair, in
-    pair_rows order) to the tuple of the literals of mask fm's edges, last
+def _clause_getter(fm: int, offset: int):
+    """A callable taking a subset's literal list (blocks of one literal per
+    pair, in pair_rows order, one block per color) to the tuple of the
+    literals of mask fm's edges in the block that starts at offset, last
     edge first.  A one-edge mask (m = 2) gets a one-tuple: itemgetter of a
     single index returns the bare item."""
-    bits = [i for i in range(fm.bit_length()) if fm >> i & 1][::-1]
+    bits = [offset + i for i in range(fm.bit_length()) if fm >> i & 1][::-1]
     if len(bits) == 1:
         (bit,) = bits
         return lambda lits: (lits[bit],)

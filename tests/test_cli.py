@@ -182,6 +182,56 @@ def test_number_has_no_workers_option(tmp_path, capsys, command, args):
     assert "--workers" in capsys.readouterr().err
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(tmp_path, "number", "--m", "3", "--kappa", "3", "--colors", "2",
+                   "--nmax", "6")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    capsys.readouterr()
+    # A bad option after a good call still gets argparse's exit and message.
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "number", "--m", "3", "--kappa", "3", "--colors", "2", "--nmax", "x")
+    assert exc.value.code == 2
+    assert "argument --nmax: invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_importing_the_cli_builds_no_parser():
+    # A fresh interpreter, so that no earlier main call has built it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"""
+import sys
+sys.path.insert(0, {str(src)!r})
+import hcramsey.cli
+print(hcramsey.cli.build_parser.cache_info().currsize)
+"""
+    out = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["number", "--help"], ["cnf", "--help"]])
+def test_help_from_the_reused_parser_is_that_of_a_fresh_one(capsys, argv):
+    outputs = []
+    for parser in (cli.build_parser(), cli.build_parser(), cli.build_parser.__wrapped__()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].startswith("usage: hcramsey")
+
+
+def test_connectivity_refuses_one_high_edge_above_the_vertex_limit(tmp_path, capsys):
+    graph_file = tmp_path / "high-edge.txt"
+    graph_file.write_text("20000 1\n19998 19999\n")
+    code, store = run(tmp_path, "connectivity", str(graph_file))
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: size limit: 20000 vertices with 1 edges")
+    assert not store.exists()
+
+
 def test_unwritable_cnf_out_is_an_input_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.cnf"
     code, store = run(tmp_path, "cnf", "--n", "5", "--m", "3", "--kappa", "2",

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -91,6 +92,24 @@ class TestEdgeMask:
             tracemalloc.stop()
         assert (g.n, g.mask) == (300_000, 0)
         assert peak < 1 << 20
+
+    def test_one_high_edge_above_the_vertex_limit_is_refused_before_its_mask(self):
+        # Its mask would be C(20000, 2) bits, about 25 MB, and no certified
+        # decision accepts the graph.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="size limit"):
+                parse_graph_text("20000 1\n19998 19999\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 0.5
+        assert peak < 1 << 20
+
+    def test_one_edge_at_the_vertex_limit_still_parses(self):
+        g = parse_graph_text("16384 1\n0 1\n")
+        assert (g.n, g.mask) == (2**14, 1)
 
     def test_from_mask_rejects_bits_beyond_the_pairs(self):
         with pytest.raises(ValueError, match="bad edge mask"):
